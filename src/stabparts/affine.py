@@ -8,12 +8,13 @@ sigma: x -> x^(p^e) applied entrywise.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FiniteField, build_field
+from .fields import MAX_Q, FiniteField, build_field
 from .perms import PermGroup, Permutation, parse_cycles
 from .perms import product_action as _plain_product_action
 
@@ -282,35 +283,94 @@ def group_from_document(doc: dict) -> PermGroup:
     """Build a group from a GroupSpec document.
 
     Exactly one of the keys "named", "degree"+"generators", "product",
-    "affine" must be present.
+    "affine" must be present.  A malformed document raises ValueError naming
+    the JSON path of the bad field, e.g. "$.affine.k: required field is
+    missing".
     """
+    return _group_at(doc, "$")
+
+
+_MISSING = object()
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _get(doc: dict, key: str, path: str, ok, expected: str, default=_MISSING):
+    """doc[key] if it passes ok, else a ValueError naming its JSON path."""
+    if key not in doc:
+        if default is _MISSING:
+            raise ValueError(f"{path}.{key}: required field is missing")
+        return default
+    value = doc[key]
+    if not ok(value):
+        raise ValueError(f"{path}.{key}: expected {expected}, got {json.dumps(value)[:40]}")
+    return value
+
+
+def _at(path: str, build, *args):
+    """build(*args), with the JSON path prefixed to any ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _group_at(doc, path: str) -> PermGroup:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a group document object")
     kinds = {k for k in ("named", "degree", "generators", "product", "affine") if k in doc}
     kinds -= {"degree"} if kinds >= {"degree", "generators"} else set()
     if len(kinds) != 1 or kinds == {"degree"}:
         raise ValueError(
-            "spec must contain exactly one of: named, degree+generators, "
+            f"{path}: spec must contain exactly one of: named, degree+generators, "
             "product, affine"
         )
     kind = kinds.pop()
     if kind == "named":
-        return named_group(doc["named"])
+        name = _get(doc, "named", path, lambda v: isinstance(v, str), "a string")
+        return _at(f"{path}.named", named_group, name)
     if kind == "generators":
-        degree = doc["degree"]
-        return PermGroup.from_cycles(degree, doc["generators"])
+        degree = _get(doc, "degree", path, lambda v: _is_int(v) and v > 0,
+                      "a positive integer")
+        cycles = _get(doc, "generators", path,
+                      lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+                      "a list of cycle strings")
+        return PermGroup(degree, [_at(f"{path}.generators[{i}]", parse_cycles, c, degree)
+                                  for i, c in enumerate(cycles)])
     if kind == "product":
-        left, right = doc["product"]
-        return product_action(group_from_document(left), group_from_document(right))
-    aff = doc["affine"]
-    F = build_field(aff["p"], aff["k"])
-    dim = aff["dim"]
+        factors = _get(doc, "product", path, lambda v: isinstance(v, list) and len(v) == 2,
+                      "a list of two group documents")
+        left, right = (_group_at(f, f"{path}.product[{i}]") for i, f in enumerate(factors))
+        return product_action(left, right)
+    aff = _get(doc, "affine", path, lambda v: isinstance(v, dict), "an object")
+    name = _get(doc, "name", path, lambda v: isinstance(v, str), "a string", None)
+    path += ".affine"
+    p = _get(aff, "p", path, lambda v: _is_int(v) and 2 <= v <= MAX_Q,
+             f"a prime at most {MAX_Q}")
+    k = _get(aff, "k", path, lambda v: _is_int(v) and 1 <= v < MAX_Q.bit_length(),
+             f"an integer with p^k at most {MAX_Q}")
+    F = _at(path, build_field, p, k)
+    dim = _get(aff, "dim", path, lambda v: _is_int(v) and v > 0, "a positive integer")
+
+    def vector(v) -> bool:
+        return (isinstance(v, list) and len(v) == dim
+                and all(_is_int(c) and 0 <= c < F.q for c in v))
+
+    entries = _get(aff, "generators", path, lambda v: isinstance(v, list), "a list", [])
     gens = []
-    for entry in aff.get("generators", []):
-        gens.append(
-            SemilinearGen(
-                tuple(tuple(row) for row in entry["matrix"]),
-                entry.get("frobenius", 0),
-                tuple(entry.get("translation", ())) or (),
-            )
-        )
-    spec = AffineSpec(F, dim, tuple(gens), name=doc.get("name"))
-    return build_affine(spec)
+    for i, entry in enumerate(entries):
+        at = f"{path}.generators[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{at}: expected an object")
+        matrix = _get(entry, "matrix", at,
+                      lambda m: isinstance(m, list) and len(m) == dim and all(map(vector, m)),
+                      f"a {dim}x{dim} matrix over GF({F.q})")
+        frob = _get(entry, "frobenius", at, lambda v: _is_int(v) and v >= 0,
+                    "a non-negative integer", 0)
+        translation = _get(entry, "translation", at, lambda v: v == [] or vector(v),
+                           f"a vector of {dim} elements of GF({F.q})", [])
+        gens.append(SemilinearGen(tuple(map(tuple, matrix)), frob, tuple(translation)))
+    spec = AffineSpec(F, dim, tuple(gens), name=name)
+    return _at(path, build_affine, spec)

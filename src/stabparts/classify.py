@@ -6,10 +6,14 @@ A group (G, Omega) with p | |G| is:
   * p-moderate   - some subset Delta has 1 < |Stab(Delta)|_p < |G|_p;
   * p-extreme    - not p-moderate (every stabilizer p-part is 1 or full).
 
-The exhaustive scan over all 2^n subsets is the oracle; the constructive
-strategy tries cheap explicit witness recipes first and falls back to the
-scan, so the two can never disagree.  Witness constructors are candidate
-generators only: the verifier (stab_p_part) is the single source of truth.
+Every per-subset fact comes from one census primitive, the orbit sizes
+|S^G| of G on all 2^n subsets (kernels.subset_orbit_sizes): by
+orbit-stabilizer |Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is
+fixed by some Sylow p-subgroup iff p does not divide |S^G|.  That census is
+the oracle; the constructive strategy tries cheap explicit witness recipes
+first and falls back to it, so the two can never disagree.  Witness
+constructors are candidate generators only: the verifier (stab_p_part) is
+the single source of truth.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ import numpy as np
 from . import kernels
 from .affine import AffineSpec
 from .perms import PermGroup, Permutation, PointSet, ResourceLimit
-from .sylow import all_sylows, p_part
+from .sylow import p_part
 
-CONCEALED_MAX_DEGREE = 24
-EXHAUSTIVE_MAX_DEGREE = 22
 SAMPLING_TRIALS = 200
+MAX_VECTOR_PAIRS = 1 << 22  # regular_orbit_pair scans at most this many (v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +57,7 @@ def stab_p_part(G: PermGroup, delta: PointSet, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# p-concealed decision (coverage bit-map over all 2^n subsets)
+# p-concealed decision
 # ---------------------------------------------------------------------------
 
 
@@ -62,33 +65,19 @@ def is_p_concealed(G: PermGroup, p: int) -> tuple[bool, Optional[PointSet]]:
     """Whether every subset is stabilized by some Sylow p-subgroup.
 
     Returns (True, None) or (False, least uncovered subset in mask order).
-    The coverage map is built per Sylow subgroup from its orbit partition:
-    the subsets it stabilizes are exactly the 2^{#orbits} orbit unions.
+    Stab(S) contains a Sylow p-subgroup iff p does not divide |S^G|.
     """
-    n = G.degree
-    if n > CONCEALED_MAX_DEGREE:
-        raise ResourceLimit(f"degree {n} exceeds concealment bound {CONCEALED_MAX_DEGREE}")
     if G.order % p != 0:
         raise ValueError(f"{p} does not divide |G|")
-    data = all_sylows(G, p)
-    covered = np.zeros(1 << n, dtype=bool)
-    for keyset in data.conjugates:
-        perms = [Permutation(np.frombuffer(k, dtype=np.int32)) for k in keyset]
-        orbit_masks = [
-            sum(1 << x for x in orb)
-            for orb in _orbit_partition(perms, n)
-        ]
-        kernels.mark_orbit_unions(covered, orbit_masks)
-    if covered.all():
+    sizes = _orbit_sizes(G)
+    uncovered = np.flatnonzero(sizes % p == 0)
+    if uncovered.size == 0:
         return True, None
-    least = int(np.nonzero(~covered)[0][0])
-    return False, PointSet.from_mask(n, least)
+    return False, PointSet.from_mask(G.degree, int(uncovered[0]))
 
 
-def _orbit_partition(perms: list[Permutation], n: int) -> list[list[int]]:
-    from .perms import orbits
-
-    return orbits(perms, n)
+def _orbit_sizes(G: PermGroup) -> np.ndarray:
+    return kernels.subset_orbit_sizes([g.images for g in G.generators], G.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +105,8 @@ def regular_orbit_pair(H: PermGroup,
     operations per candidate v rather than a fresh orbit computation.
     """
     n = H.degree
-    if n * n > (1 << kernels.MAX_SCAN_BITS):
-        raise ResourceLimit("V + V scan bound exceeded")
+    if n * n > MAX_VECTOR_PAIRS:
+        raise ResourceLimit(f"{n * n} vector pairs exceed bound {MAX_VECTOR_PAIRS}")
     elems = H.elements
     ar = np.arange(n, dtype=np.int32)
     nonid = elems[(elems != ar).any(axis=1)]
@@ -323,17 +312,14 @@ class ModerationReport:
 
 
 def exhaustive_p_parts(G: PermGroup, p: int) -> np.ndarray:
-    """|Stab(S)|_p for every subset mask S (the census oracle)."""
-    counts = kernels.stabilizer_counts(G.elements, G.degree)
-    parts = np.ones_like(counts)
-    rem = counts.copy()
-    while True:
-        divisible = rem % p == 0
-        if not divisible.any():
-            break
-        parts[divisible] *= p
-        rem[divisible] //= p
-    return parts
+    """|Stab(S)|_p = |G|_p / |S^G|_p for every subset mask S (the census oracle)."""
+    sizes = _orbit_sizes(G)
+    gp = p_part(G.order, p)
+    # orbit sizes take few distinct values: look their p-parts up in a table
+    values = np.flatnonzero(np.bincount(sizes))
+    table = np.zeros(int(values[-1]) + 1, dtype=np.int64)
+    table[values] = [gp // p_part(int(v), p) for v in values]
+    return table[sizes]
 
 
 def census_histogram(G: PermGroup, p: int) -> dict[int, int]:
@@ -410,22 +396,17 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
                 return report
         # fall through to the exhaustive oracle so the verdict is exact
 
-    if n > EXHAUSTIVE_MAX_DEGREE:
-        raise ResourceLimit(
-            f"degree {n} exceeds exhaustive bound {EXHAUSTIVE_MAX_DEGREE}"
-        )
     parts = exhaustive_p_parts(G, p)
-    moderate = np.nonzero((parts > 1) & (parts < gp))[0]
+    moderate = np.flatnonzero((parts > 1) & (parts < gp))
     report.exhaustive = True
     if moderate.size:
         least = int(moderate[0])
-        delta = PointSet.from_mask(n, least)
         report.status = "MODERATE"
-        report.witness = delta
+        report.witness = PointSet.from_mask(n, least)
         report.stab_p_part = int(parts[least])
         report.stage = "exhaustive"
     else:
-        report.concealed = _concealed_flag(G, p)
+        report.concealed = bool((parts == gp).all())
     return report
 
 

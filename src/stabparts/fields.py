@@ -26,7 +26,7 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2
@@ -41,7 +41,7 @@ class FiniteField:
     """GF(p^k) with dense addition/multiplication tables."""
 
     def __init__(self, p: int, k: int):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         q = p**k
         if k < 1 or q > MAX_Q:

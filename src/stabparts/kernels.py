@@ -1,43 +1,67 @@
-"""Hot kernels for exhaustive subset scans.
+"""Kernels over all 2^n subsets of {0..n-1}.
 
-Two implementations are provided for each kernel: a numba @njit version and
-a pure-numpy fallback.  Set STABPARTS_NO_NUMBA=1 to force the numpy path
-(the fallback is also used automatically when numba is unavailable).
-benchmarks/bench_kernels.py compares the two.
-
-Subsets of {0..n-1} are encoded as integer bit masks, point i -> bit 2^i.
+Subsets are encoded as bit masks, point i -> bit 2^i.  `subset_orbit_sizes`
+is the one production kernel: every per-subset fact follows from the orbit
+sizes |S^G|, since |Stab(S)| = |G| / |S^G| and S is fixed by a Sylow
+p-subgroup iff p does not divide |S^G|.  `stabilizer_counts` and
+`mark_orbit_unions` are the definitional references the tests and the
+fixed-subset check compare against.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Iterable
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("STABPARTS_NO_NUMBA", "") not in ("", "0")
+from .perms import ResourceLimit
 
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit, prange
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA
-
-MAX_SCAN_BITS = 22
+MAX_SCAN_BITS = 24
 
 
-def stabilizer_counts_numpy(elems: np.ndarray, n: int) -> np.ndarray:
-    """|Stab(S)| for every subset mask S in 0..2^n-1.
+def _mask_images(images: np.ndarray, n: int) -> np.ndarray:
+    """The image of every mask 0..2^n-1 under one permutation, by doubling."""
+    out = np.zeros(1, dtype=np.int32)
+    for j in range(n):
+        out = np.concatenate([out, out | np.int32(1 << int(images[j]))])
+    return out
+
+
+def subset_orbit_sizes(gens: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """|S^G| for every subset mask S, G = <gens> given by image arrays.
+
+    Each mask is labelled with the least mask of its orbit: labels are pulled
+    along each generator's mask images and shortened by pointer jumping
+    (label = label[label]) until a round changes nothing.  A label is always
+    a member of its mask's orbit, and at the fixed point it is constant along
+    every generator cycle, hence on orbits.  Each round costs O(2^n * #gens)
+    and no group element is enumerated.
+    """
+    if n > MAX_SCAN_BITS:
+        raise ResourceLimit(f"degree {n} exceeds MAX_SCAN_BITS = {MAX_SCAN_BITS}")
+    images = [_mask_images(g, n) for g in gens]
+    label = np.arange(1 << n, dtype=np.int32)
+    while True:
+        before = label
+        label = label.copy()
+        for img in images:
+            np.minimum(label, label[img], out=label)
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    del images, before  # free them before the two count arrays are built
+    return np.bincount(label, minlength=1 << n)[label]
+
+
+def stabilizer_counts(elems: np.ndarray, n: int) -> np.ndarray:
+    """|Stab(S)| for every subset mask S, by scanning all elements.
 
     elems is the (m, n) image array of all group elements.  For each element
     the image of every mask is built with n shifted ORs; equality marks the
-    masks that element stabilizes.
+    masks that element stabilizes.  Cost 2^n * n * |G|.
     """
+    if n > MAX_SCAN_BITS:
+        raise ValueError(f"degree {n} exceeds MAX_SCAN_BITS = {MAX_SCAN_BITS}")
     total = np.int64(1) << n
     masks = np.arange(total, dtype=np.int64)
     counts = np.zeros(total, dtype=np.int64)
@@ -49,69 +73,13 @@ def stabilizer_counts_numpy(elems: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _stabilizer_counts_numba(elems, n):  # pragma: no cover - jit
-        m = elems.shape[0]
-        total = np.int64(1) << n
-        counts = np.zeros(total, dtype=np.int64)
-        for mask in prange(total):
-            c = 0
-            for e in range(m):
-                img = np.int64(0)
-                for j in range(n):
-                    if (mask >> j) & 1:
-                        img |= np.int64(1) << elems[e, j]
-                if img == mask:
-                    c += 1
-            counts[mask] = c
-        return counts
-
-    def stabilizer_counts_numba(elems: np.ndarray, n: int) -> np.ndarray:
-        return _stabilizer_counts_numba(np.ascontiguousarray(elems, np.int64), n)
-
-
-def stabilizer_counts(elems: np.ndarray, n: int) -> np.ndarray:
-    if n > MAX_SCAN_BITS:
-        raise ValueError(f"degree {n} exceeds exhaustive scan bound {MAX_SCAN_BITS}")
-    if USING_NUMBA:
-        return stabilizer_counts_numba(elems, n)
-    return stabilizer_counts_numpy(elems, n)
-
-
-def orbit_union_masks(orbit_masks: list[int]) -> np.ndarray:
-    """All 2^r unions of the given orbit masks, by doubling."""
-    arr = np.zeros(1, dtype=np.int64)
-    for om in orbit_masks:
-        arr = np.concatenate([arr, arr | np.int64(om)])
-    return arr
-
-
-def mark_orbit_unions_numpy(covered: np.ndarray, orbit_masks: list[int]) -> None:
-    covered[orbit_union_masks(orbit_masks)] = True
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _mark_orbit_unions_numba(covered, masks):  # pragma: no cover - jit
-        r = masks.shape[0]
-        total = 1 << r
-        for s in range(total):
-            u = np.int64(0)
-            for j in range(r):
-                if (s >> j) & 1:
-                    u |= masks[j]
-            covered[u] = True
-
-    def mark_orbit_unions_numba(covered: np.ndarray, orbit_masks: list[int]) -> None:
-        _mark_orbit_unions_numba(covered, np.asarray(orbit_masks, dtype=np.int64))
-
-
 def mark_orbit_unions(covered: np.ndarray, orbit_masks: list[int]) -> None:
-    """Set covered[u] for every union u of the given orbit masks."""
-    if USING_NUMBA:
-        mark_orbit_unions_numba(covered, orbit_masks)
-    else:
-        mark_orbit_unions_numpy(covered, orbit_masks)
+    """Set covered[u] for every union u of the given orbit masks.
+
+    A subgroup with these orbits stabilizes exactly these 2^r unions, so
+    marking them over all Sylow conjugates is the definition of coverage.
+    """
+    unions = np.zeros(1, dtype=np.int64)
+    for om in orbit_masks:
+        unions = np.concatenate([unions, unions | np.int64(om)])
+    covered[unions] = True

@@ -200,19 +200,6 @@ def orbits(gens: Iterable[Permutation], degree: int) -> list[list[int]]:
     return parts
 
 
-def orbit_of(gens: Sequence[Permutation], point: int) -> list[int]:
-    seen = {point}
-    stack = [point]
-    while stack:
-        x = stack.pop()
-        for g in gens:
-            y = int(g.images[x])
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return sorted(seen)
-
-
 class PointSet:
     """A subset of {0..n-1}, with a bit-mask view (point i -> bit 2^i)."""
 
@@ -380,7 +367,6 @@ class PermGroup:
         name: Optional[str] = None,
         max_order: int = DEFAULT_MAX_ORDER,
         affine=None,
-        use_chain: bool = True,
     ):
         gens = [g for g in generators if not g.is_identity()]
         for g in gens:
@@ -390,11 +376,11 @@ class PermGroup:
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
         self.max_order = max_order
-        self.use_chain = use_chain
         self.affine = affine  # optional AffineSpec provenance
         self._order: Optional[int] = None
         self._elements: Optional[np.ndarray] = None  # (|G|, n), lex-sorted rows
         self._elem_keys: Optional[frozenset[bytes]] = None
+        self._enumeration_failure: Optional[str] = None  # ResourceLimit message
         self._chain: Optional[StabilizerChain] = None
 
     # -- construction helpers ------------------------------------------------
@@ -415,8 +401,6 @@ class PermGroup:
             try:
                 self._order = int(self.elements.shape[0])
             except ResourceLimit:
-                if not self.use_chain:
-                    raise
                 self._order = self.chain.order()
         return self._order
 
@@ -428,9 +412,19 @@ class PermGroup:
 
     @property
     def elements(self) -> np.ndarray:
-        """All elements as a lexicographically sorted (|G|, n) image array."""
+        """All elements as a lexicographically sorted (|G|, n) image array.
+
+        A failed enumeration is remembered: later reads raise ResourceLimit
+        again without redoing the search.
+        """
         if self._elements is None:
-            self._elements = self._enumerate(self.max_order)
+            if self._enumeration_failure is not None:
+                raise ResourceLimit(self._enumeration_failure)
+            try:
+                self._elements = self._enumerate(self.max_order)
+            except ResourceLimit as exc:
+                self._enumeration_failure = str(exc)
+                raise
             self._elem_keys = frozenset(row.tobytes() for row in self._elements)
         return self._elements
 
@@ -480,12 +474,12 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        if self._elem_keys is not None:
-            return g._key in self._elem_keys
-        try:
-            return g._key in self.element_keys
-        except ResourceLimit:
-            return self.chain.contains(g)
+        if self._enumeration_failure is None:
+            try:
+                return g._key in self.element_keys
+            except ResourceLimit:
+                pass
+        return self.chain.contains(g)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(

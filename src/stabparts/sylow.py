@@ -11,20 +11,10 @@ from typing import Optional
 
 import numpy as np
 
+from .fields import is_prime
 from .perms import PermGroup, Permutation, ResourceLimit, normalizer
 
 MAX_SYLOW_COUNT = 10**4
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -45,7 +35,7 @@ def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     part = 1
     while n % p == 0:

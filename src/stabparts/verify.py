@@ -283,20 +283,6 @@ def property_suite(seed: int = 0) -> list[Check]:
     return out
 
 
-def prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _count_fixed_subsets(P, degree: int) -> int:
     from . import kernels
 

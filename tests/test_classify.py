@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from stabparts import (
@@ -75,13 +76,11 @@ class TestSetwiseStabilizer:
         # exhaustive for small degree: K stabilizes S iff S is a K-orbit union
         G = named_group("D10")
         K = G.subgroup([parse_cycles("(1 4)(2 3)", 5)])
-        korbit_masks = set()
-        from stabparts.kernels import orbit_union_masks
+        from stabparts.kernels import mark_orbit_unions
 
-        masks = orbit_union_masks(
-            [sum(1 << x for x in o) for o in K.orbits()]
-        )
-        korbit_masks = {int(m) for m in masks}
+        unions = np.zeros(1 << 5, dtype=bool)
+        mark_orbit_unions(unions, [sum(1 << x for x in o) for o in K.orbits()])
+        korbit_masks = set(np.flatnonzero(unions).tolist())
         for mask in range(1 << 5):
             delta = PointSet.from_mask(5, mask)
             stabilized = all(

@@ -119,6 +119,14 @@ class TestCensus:
         hist = _payload(result)["histogram"]
         assert sum(hist.values()) == 8
 
+    def test_sym10_beyond_enumeration(self, runner, spec_file):
+        # 10! exceeds the element-table bound; |G| comes from the chain
+        path = spec_file({"degree": 10, "generators": ["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"]})
+        result = runner.invoke(main, ["census", path, "--p", "2"])
+        assert result.exit_code == 0, result.stderr
+        # k-subsets form one orbit of size C(10, k); 2-part 2^8 / C(10, k)_2
+        assert _payload(result)["histogram"] == {"32": 240, "64": 252, "128": 440, "256": 92}
+
 
 class TestSylow:
     def test_j(self, runner, spec_file):
@@ -189,6 +197,23 @@ class TestErrors:
         path = spec_file({"named": "M11"})
         result = runner.invoke(main, ["classify", path, "--p", "2"])
         assert result.exit_code == EXIT_ERROR
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"affine": {"p": 2}}, "$.affine.k"),
+        ({"named": 5}, "$.named"),
+        ({"degree": "x", "generators": ["(0 1)"]}, "$.degree"),
+    ])
+    def test_bad_field_named_by_path(self, runner, spec_file, doc, where):
+        result = runner.invoke(main, ["census", spec_file(doc), "--p", "2"])
+        assert result.exit_code == EXIT_ERROR
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
+
+    def test_census_over_degree_bound(self, runner, spec_file):
+        path = spec_file({"degree": 25, "generators": ["(0 1)"]})
+        result = runner.invoke(main, ["census", path, "--p", "2"])
+        assert result.exit_code == EXIT_ERROR
+        assert "MAX_SCAN_BITS" in result.stderr
 
 
 class TestVerifyPaper:

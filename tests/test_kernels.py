@@ -1,19 +1,26 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stabparts import PointSet, named_group, setwise_stabilizer
-from stabparts.kernels import (
-    HAVE_NUMBA,
-    MAX_SCAN_BITS,
-    mark_orbit_unions_numpy,
-    orbit_union_masks,
-    stabilizer_counts,
-    stabilizer_counts_numpy,
+from stabparts import (
+    PermGroup,
+    Permutation,
+    PointSet,
+    ResourceLimit,
+    all_sylows,
+    is_p_concealed,
+    named_group,
+    orbits,
+    setwise_stabilizer,
 )
+from stabparts.kernels import (
+    MAX_SCAN_BITS,
+    mark_orbit_unions,
+    stabilizer_counts,
+    subset_orbit_sizes,
+)
+from stabparts.sylow import prime_divisors
 
 
 def _brute_counts(G):
@@ -31,18 +38,8 @@ class TestStabilizerCounts:
     @pytest.mark.parametrize("name", ["D6", "D10", "C4", "Sym(4)", "AGL(1,5)"])
     def test_matches_brute_force(self, name, zoo):
         G = zoo[name] if name in zoo else named_group(name)
-        got = stabilizer_counts_numpy(G.elements, G.degree)
+        got = stabilizer_counts(G.elements, G.degree)
         assert np.array_equal(got, _brute_counts(G))
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable or disabled")
-    def test_numba_matches_numpy(self):
-        from stabparts.kernels import stabilizer_counts_numba
-
-        for name in ("D10", "Sym(4)", "AGL(2,3)"):
-            G = named_group(name)
-            a = stabilizer_counts_numpy(G.elements, G.degree)
-            b = stabilizer_counts_numba(G.elements, G.degree)
-            assert np.array_equal(a, b), name
 
     def test_scan_bound_enforced(self):
         G = named_group("C4")
@@ -50,8 +47,6 @@ class TestStabilizerCounts:
             stabilizer_counts(G.elements, MAX_SCAN_BITS + 1)
 
     def test_identity_group(self):
-        from stabparts import PermGroup
-
         G = PermGroup.trivial(3)
         got = stabilizer_counts(G.elements, 3)
         assert np.array_equal(got, np.ones(8, dtype=np.int64))
@@ -59,13 +54,14 @@ class TestStabilizerCounts:
 
 class TestOrbitUnions:
     def test_union_masks_count(self):
-        masks = orbit_union_masks([0b001, 0b110])
-        assert sorted(int(m) for m in masks) == [0b000, 0b001, 0b110, 0b111]
+        covered = np.zeros(8, dtype=bool)
+        mark_orbit_unions(covered, [0b001, 0b110])
+        assert np.flatnonzero(covered).tolist() == [0b000, 0b001, 0b110, 0b111]
 
     def test_marking_matches_enumeration(self):
         orbit_masks = [0b00011, 0b00100, 0b11000]
         covered = np.zeros(32, dtype=bool)
-        mark_orbit_unions_numpy(covered, orbit_masks)
+        mark_orbit_unions(covered, orbit_masks)
         expect = np.zeros(32, dtype=bool)
         for s in range(8):
             u = 0
@@ -75,47 +71,57 @@ class TestOrbitUnions:
             expect[u] = True
         assert np.array_equal(covered, expect)
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable or disabled")
-    def test_numba_marking_matches_numpy(self):
-        from stabparts.kernels import mark_orbit_unions_numba
 
-        orbit_masks = [0b0101, 0b1010, 0b0011]
-        a = np.zeros(16, dtype=bool)
-        b = np.zeros(16, dtype=bool)
-        mark_orbit_unions_numpy(a, orbit_masks)
-        mark_orbit_unions_numba(b, orbit_masks)
-        assert np.array_equal(a, b)
+@st.composite
+def small_groups(draw, max_order):
+    """A group on n <= 8 points from up to three random generators.
 
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "from stabparts import kernels; "
-        "assert not kernels.USING_NUMBA; "
-        "import numpy as np; "
-        "from stabparts import named_group; "
-        "G = named_group('D10'); "
-        "c = kernels.stabilizer_counts(G.elements, 5); "
-        "print(int(c[0]))"
-    )
-    env = dict(os.environ, STABPARTS_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "10"  # the empty set is stabilized by all of D10
+    Generators are dropped until |G| <= max_order, so that the brute-force
+    references (element scan, Sylow conjugates) stay fast.
+    """
+    n = draw(st.integers(1, 8))
+    gens = [Permutation(g) for g in draw(st.lists(st.permutations(range(n)), max_size=3))]
+    G = PermGroup(n, gens)
+    while G.order > max_order:
+        gens.pop()
+        G = PermGroup(n, gens)
+    return G
 
 
-def test_census_results_independent_of_path():
-    code = (
-        "from stabparts import census_histogram, named_group; "
-        "print(sorted(census_histogram(named_group('AGammaL(1,9)'), 2).items()))"
-    )
-    runs = []
-    for force in ("0", "1"):
-        env = dict(os.environ, STABPARTS_NO_NUMBA=force)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        runs.append(out.stdout.strip())
-    assert runs[0] == runs[1]
+def _coverage(G, p):
+    """Subsets fixed by some Sylow p-subgroup, marked conjugate by conjugate."""
+    covered = np.zeros(1 << G.degree, dtype=bool)
+    for keyset in all_sylows(G, p).conjugates:
+        P = [Permutation(np.frombuffer(k, dtype=np.int32)) for k in keyset]
+        mark_orbit_unions(covered, [sum(1 << x for x in orb) for orb in orbits(P, G.degree)])
+    return covered
+
+
+class TestSubsetOrbitSizes:
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups(max_order=5040))
+    @example(PermGroup.trivial(3))
+    def test_orbit_stabilizer(self, G):
+        sizes = subset_orbit_sizes([g.images for g in G.generators], G.degree)
+        assert np.array_equal(G.order // sizes, stabilizer_counts(G.elements, G.degree))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups(max_order=720), st.data())
+    def test_concealment_matches_coverage(self, G, data):
+        primes = prime_divisors(G.order)
+        if not primes:
+            return  # the trivial group has no Sylow subgroups
+        p = data.draw(st.sampled_from(primes))
+        covered = _coverage(G, p)
+        ok, counterexample = is_p_concealed(G, p)
+        assert ok == covered.all()
+        if not ok:
+            assert counterexample.mask == int(np.flatnonzero(~covered)[0])
+
+    def test_bound_checked_before_allocation(self):
+        with pytest.raises(ResourceLimit, match="MAX_SCAN_BITS"):
+            subset_orbit_sizes([np.arange(MAX_SCAN_BITS + 1)], MAX_SCAN_BITS + 1)
+
+    def test_agl_1_23_at_the_bound(self):
+        ok, counterexample = is_p_concealed(named_group("AGL(1,23)"), 2)
+        assert not ok and counterexample == PointSet(23, {0, 1, 3})

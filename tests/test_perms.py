@@ -93,10 +93,27 @@ class TestGroupOrder:
         assert PermGroup.trivial(5).order == 1
 
     def test_enumeration_bound(self):
-        G = PermGroup.from_cycles(8, ["(0 1 2 3 4 5 6 7)", "(0 1)"],
-                                  max_order=100, use_chain=False)
+        G = PermGroup.from_cycles(8, ["(0 1 2 3 4 5 6 7)", "(0 1)"], max_order=100)
         with pytest.raises(ResourceLimit):
-            G.order
+            G.elements
+        assert G.order == 40320  # from the stabilizer chain
+
+    def test_failed_enumeration_is_remembered(self, monkeypatch):
+        calls = []
+        enumerate_ = PermGroup._enumerate
+
+        def counted(self, limit):
+            calls.append(limit)
+            return enumerate_(self, limit)
+
+        monkeypatch.setattr(PermGroup, "_enumerate", counted)
+        G = PermGroup.from_cycles(8, ["(0 1 2 3 4 5 6 7)", "(0 1)"], max_order=100)
+        for _ in range(2):
+            with pytest.raises(ResourceLimit):
+                G.elements
+        assert parse_cycles("(0 1)", 8) in G
+        assert parse_cycles("(0 1)(2 3)", 8) in G
+        assert len(calls) == 1
 
     def test_chain_fallback_over_bound(self):
         G = PermGroup.from_cycles(8, ["(0 1 2 3 4 5 6 7)", "(0 1)"], max_order=100)
