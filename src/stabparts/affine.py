@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import MAX_Q, FiniteField, build_field
-from .perms import PermGroup, Permutation, parse_cycles
+from .perms import MAX_DEGREE, PermGroup, Permutation, parse_cycles
 from .perms import product_action as _plain_product_action
 
 
@@ -235,7 +235,7 @@ def named_group(name: str) -> PermGroup:
     if key == "AGammaL(1,9)":
         return _agammal1(3, 2)
     if key.startswith("AGL(1,") and key.endswith(")"):
-        q = int(key[len("AGL(1,"):-1])
+        q = _named_degree(key[len("AGL(1,"):-1], name)
         p, k = _factor_prime_power(q)
         return _agl1(p, k)
     if key == "AGL(2,3)":
@@ -243,10 +243,17 @@ def named_group(name: str) -> PermGroup:
     if key in ("Sym(4)", "S4"):
         return _sym(4)
     if key.startswith("C") and key[1:].isdigit():
-        return _cyclic(int(key[1:]))
+        return _cyclic(_named_degree(key[1:], name))
     if key.startswith("Trivial(") and key.endswith(")"):
-        return PermGroup.trivial(int(key[len("Trivial("):-1]))
+        return PermGroup.trivial(_named_degree(key[len("Trivial("):-1], name))
     raise ValueError(f"unknown group name {name!r}")
+
+
+def _named_degree(text: str, name: str) -> int:
+    degree = int(text)
+    if not 0 < degree <= MAX_DEGREE:
+        raise ValueError(f"degree {degree} of {name!r} is not in 1..MAX_DEGREE = {MAX_DEGREE}")
+    return degree
 
 
 def _split_top_level(s: str) -> tuple[str, str]:
@@ -332,8 +339,8 @@ def _group_at(doc, path: str) -> PermGroup:
         name = _get(doc, "named", path, lambda v: isinstance(v, str), "a string")
         return _at(f"{path}.named", named_group, name)
     if kind == "generators":
-        degree = _get(doc, "degree", path, lambda v: _is_int(v) and v > 0,
-                      "a positive integer")
+        degree = _get(doc, "degree", path, lambda v: _is_int(v) and 0 < v <= MAX_DEGREE,
+                      f"a positive integer at most MAX_DEGREE = {MAX_DEGREE}")
         cycles = _get(doc, "generators", path,
                       lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
                       "a list of cycle strings")
@@ -352,7 +359,11 @@ def _group_at(doc, path: str) -> PermGroup:
     k = _get(aff, "k", path, lambda v: _is_int(v) and 1 <= v < MAX_Q.bit_length(),
              f"an integer with p^k at most {MAX_Q}")
     F = _at(path, build_field, p, k)
-    dim = _get(aff, "dim", path, lambda v: _is_int(v) and v > 0, "a positive integer")
+    # q^dim points are enumerated; q >= 2 bounds dim before the power is taken
+    dim = _get(aff, "dim", path,
+               lambda v: (_is_int(v) and 0 < v < MAX_DEGREE.bit_length()
+                          and F.q**v <= MAX_DEGREE),
+               f"a positive integer with {F.q}^dim at most MAX_DEGREE = {MAX_DEGREE}")
 
     def vector(v) -> bool:
         return (isinstance(v, list) and len(v) == dim

@@ -38,22 +38,23 @@ MAX_VECTOR_PAIRS = 1 << 22  # regular_orbit_pair scans at most this many (v, w)
 # ---------------------------------------------------------------------------
 
 
-def setwise_stabilizer(G: PermGroup, delta: PointSet) -> PermGroup:
-    """{g in G : delta . g = delta}, by a vectorized scan of all elements."""
+def _stabilizing_rows(G: PermGroup, delta: PointSet) -> np.ndarray:
+    """Mask of the rows of G.elements that fix delta setwise."""
     if delta.degree != G.degree:
         raise ValueError("point set degree mismatch")
     mask = delta.bool_array()
-    elems = G.elements
     # g stabilizes delta iff membership is constant along g: mask[g(x)] == mask[x]
-    keep = (mask[elems] == mask[np.newaxis, :]).all(axis=1)
-    rows = elems[keep]
-    if rows.shape[0] == G.order:
-        return G
-    return G.subgroup([Permutation(r) for r in rows], name="setwise stabilizer")
+    return (mask[G.elements] == mask[np.newaxis, :]).all(axis=1)
+
+
+def setwise_stabilizer(G: PermGroup, delta: PointSet) -> PermGroup:
+    """{g in G : delta . g = delta}, by a vectorized scan of all elements."""
+    keep = _stabilizing_rows(G, delta)
+    return G.subgroup_from_rows(G.elements[keep], name="setwise stabilizer")
 
 
 def stab_p_part(G: PermGroup, delta: PointSet, p: int) -> int:
-    return p_part(setwise_stabilizer(G, delta).order, p)
+    return p_part(int(_stabilizing_rows(G, delta).sum()), p)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +147,7 @@ def _affine_spec(G: PermGroup) -> AffineSpec:
 def point_stabilizer_of_zero(G: PermGroup) -> PermGroup:
     """The linear part H = Stab_G(0) of an affine group."""
     elems = G.elements
-    rows = elems[elems[:, 0] == 0]
-    return G.subgroup([Permutation(r) for r in rows], name="H")
+    return G.subgroup_from_rows(elems[elems[:, 0] == 0], name="H")
 
 
 def translation_witness(G: PermGroup, p: int) -> PointSet:
@@ -204,8 +204,7 @@ def metacyclic_witness(G: PermGroup, p: int = 2) -> PointSet:
         raise ConstructorInapplicable("recipe is specific to p = 2")
     spec = _affine_spec(G)
     H = point_stabilizer_of_zero(G)
-    helems = [Permutation(r) for r in H.elements]
-    for u in helems:
+    for u in H.iter_elements():
         if u.order() != 2:
             continue
         if all((u * h) == (h * u) for h in H.generators):

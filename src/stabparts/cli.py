@@ -161,7 +161,7 @@ def prop31(spec_file, p, trials, seed):
     started = time.time()
     try:
         doc, G = _load_group(spec_file)
-    except (ValueError, OSError) as exc:
+    except (ValueError, ResourceLimit, OSError) as exc:
         _fail(str(exc))
     try:
         cert = prop_certificate(G, p)

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 DEFAULT_MAX_ORDER = 10**6
+MAX_DEGREE = 4096  # bound on the degree of any group built from a document
 
 
 class DegreeMismatch(ValueError):
@@ -43,6 +44,15 @@ class Permutation:
         self.images = arr
         self._key = arr.tobytes()
 
+    @classmethod
+    def _trusted(cls, images: np.ndarray) -> "Permutation":
+        """A permutation from an int32 image array that is a bijection by construction."""
+        g = object.__new__(cls)
+        images.setflags(write=False)
+        g.images = images
+        g._key = images.tobytes()
+        return g
+
     @property
     def degree(self) -> int:
         return self.images.shape[0]
@@ -63,7 +73,7 @@ class Permutation:
     def inverse(self) -> "Permutation":
         inv = np.empty_like(self.images)
         inv[self.images] = np.arange(self.degree, dtype=np.int32)
-        return Permutation(inv)
+        return Permutation._trusted(inv)
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -114,7 +124,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """Right-action product: the result maps x to b(a(x))."""
     if a.degree != b.degree:
         raise DegreeMismatch(f"degree {a.degree} != {b.degree}")
-    return Permutation(b.images[a.images])
+    return Permutation._trusted(b.images[a.images])
 
 
 def element_order(g: Permutation) -> int:
@@ -425,13 +435,12 @@ class PermGroup:
             except ResourceLimit as exc:
                 self._enumeration_failure = str(exc)
                 raise
-            self._elem_keys = frozenset(row.tobytes() for row in self._elements)
         return self._elements
 
     @property
     def element_keys(self) -> frozenset[bytes]:
-        self.elements
-        assert self._elem_keys is not None
+        if self._elem_keys is None:
+            self._elem_keys = frozenset(row.tobytes() for row in self.elements)
         return self._elem_keys
 
     def _enumerate(self, limit: int) -> np.ndarray:
@@ -466,7 +475,7 @@ class PermGroup:
 
     def iter_elements(self) -> Iterator[Permutation]:
         for row in self.elements:
-            yield Permutation(row)
+            yield Permutation._trusted(row)
 
     def element_perms(self) -> list[Permutation]:
         return list(self.iter_elements())
@@ -482,13 +491,35 @@ class PermGroup:
         return self.chain.contains(g)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and all(
-            Permutation(row) in other for row in self.elements
-        )
+        return self.degree == other.degree and all(g in other for g in self.generators)
 
     def subgroup(self, gens: Iterable[Permutation], name: Optional[str] = None) -> "PermGroup":
         return PermGroup(self.degree, gens, name=name, max_order=self.max_order,
                          affine=self.affine)
+
+    def subgroup_from_rows(self, rows: np.ndarray, name: Optional[str] = None) -> "PermGroup":
+        """The subgroup whose element table is rows, a subset of self.elements
+        that is closed under products and still lexicographically sorted.
+
+        Only a generating set is multiplied out: the least row outside the
+        subgroup generated so far joins the generators, so each one at least
+        doubles the order and there are at most log2|H| of them.
+        """
+        if rows.shape[0] == self.order:
+            return self
+        rows.setflags(write=False)
+        H = PermGroup(self.degree, (), name=name, max_order=self.max_order,
+                      affine=self.affine)
+        keys = _row_keys(rows)
+        generated = rows[:1]  # the identity
+        while generated.shape[0] < rows.shape[0]:
+            outside = np.flatnonzero(~np.isin(keys, _row_keys(generated)))
+            H.generators += (Permutation._trusted(rows[outside[0]]),)
+            generated = H._enumerate(self.max_order)
+        assert np.array_equal(generated, rows), "rows are not a sorted subgroup"
+        H._elements = rows
+        H._order = rows.shape[0]
+        return H
 
     # -- basic structure -------------------------------------------------------
 
@@ -507,31 +538,44 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# Normalizer / centralizer (brute force over enumerated elements)
+# Normalizer / centralizer, vectorized over the element table
 # ---------------------------------------------------------------------------
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque (void) key per row, for vectorized membership tests."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+
+
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    """N_G(H) = {g in G : g^-1 H g = H}; requires H <= G, both enumerable."""
+    """N_G(H) = {g in G : g^-1 H g = H}; requires H <= G, both enumerable.
+
+    Each generator h of H is conjugated by all candidate rows g at once:
+    g^-1 h g maps x to g[h[g^-1[x]]].  Conjugating the generators into H
+    suffices, since |g^-1 H g| = |H|.
+    """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
-    hkeys = H.element_keys
-    hgens = H.generators if H.generators else ()
-    members = []
-    for row in G.elements:
-        g = Permutation(row)
-        ginv = g.inverse()
-        # conjugates of generators inside H suffice: |g^-1 H g| = |H|
-        if all((ginv * h * g)._key in hkeys for h in hgens):
-            members.append(g)
-    return G.subgroup(members, name="normalizer")
+    E = G.elements
+    inverses = np.empty_like(E)
+    np.put_along_axis(inverses, E, np.arange(G.degree, dtype=np.int32)[np.newaxis, :], axis=1)
+    hkeys = _row_keys(H.elements)
+    keep = np.arange(E.shape[0])
+    for h in H.generators:
+        conj = np.take_along_axis(E[keep], h.images[inverses[keep]], axis=1)
+        keep = keep[np.isin(_row_keys(conj), hkeys)]
+    return G.subgroup_from_rows(E[keep], name="normalizer")
+
+
+def commuting_rows(E: np.ndarray, g: Permutation) -> np.ndarray:
+    """Mask of the rows h of E with hg = gh, i.e. g[h[x]] = h[g[x]] for all x."""
+    return (g.images[E] == E[:, g.images]).all(axis=1)
 
 
 def centralizer(G: PermGroup, g: Permutation) -> PermGroup:
-    members = [
-        h for h in G.iter_elements() if (h * g)._key == (g * h)._key
-    ]
-    return G.subgroup(members, name="centralizer")
+    E = G.elements
+    return G.subgroup_from_rows(E[commuting_rows(E, g)], name="centralizer")
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +639,11 @@ def is_primitive(G: PermGroup) -> bool:
 
 
 def product_action(G1: PermGroup, G2: PermGroup,
-                   max_degree: int = 4096) -> PermGroup:
+                   max_degree: int = MAX_DEGREE) -> PermGroup:
     """Direct product G1 x G2 on pairs, point (a, b) -> a * n2 + b."""
     n1, n2 = G1.degree, G2.degree
     if n1 * n2 > max_degree:
-        raise ResourceLimit(f"product degree {n1 * n2} exceeds bound {max_degree}")
+        raise ResourceLimit(f"product degree {n1 * n2} exceeds MAX_DEGREE = {max_degree}")
     idx = np.arange(n1 * n2, dtype=np.int32)
     first, second = idx // n2, idx % n2
     gens = []

@@ -7,14 +7,11 @@ brute-force checkable by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .fields import is_prime
-from .perms import PermGroup, Permutation, ResourceLimit, normalizer
-
-MAX_SYLOW_COUNT = 10**4
+from .perms import PermGroup, Permutation, commuting_rows, normalizer
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -50,7 +47,6 @@ class SylowData:
     representative: PermGroup
     count: int
     normalizer_index: int
-    conjugates: Optional[list[frozenset[bytes]]] = None
 
     def to_json(self) -> dict:
         return {
@@ -96,41 +92,10 @@ def find_sylow(G: PermGroup, p: int) -> PermGroup:
 
 
 def all_sylows(G: PermGroup, p: int) -> SylowData:
-    """All conjugates of one Sylow p-subgroup, with count and index."""
+    """One Sylow p-subgroup P with n_p = |G : N_G(P)|, the number of its conjugates."""
     P = find_sylow(G, p)
-    pkeys = P.element_keys
-    pgen = list(P.generators)
-    elems = G.elements
-    n = G.degree
-    seen: dict[frozenset[bytes], list[Permutation]] = {}
-    # conjugate the generator set by every element; distinct generated
-    # subgroups are exactly the conjugates (counted via their element sets)
-    inv_rows = np.empty_like(elems)
-    ar = np.arange(n, dtype=np.int32)
-    for i in range(elems.shape[0]):
-        inv_rows[i, elems[i]] = ar
-    conj_keysets: set[frozenset[bytes]] = set()
-    norm_count = 0
-    conj_list: list[frozenset[bytes]] = []
-    pelems = [Permutation(row) for row in P.elements]
-    for i in range(elems.shape[0]):
-        ginv = inv_rows[i]
-        grow = elems[i]
-        keyset = frozenset(
-            grow[h.images[ginv]].tobytes() for h in pelems
-        )
-        if keyset == pkeys:
-            norm_count += 1
-        if keyset not in conj_keysets:
-            conj_keysets.add(keyset)
-            conj_list.append(keyset)
-            if len(conj_list) > MAX_SYLOW_COUNT:
-                raise ResourceLimit("too many Sylow subgroups")
-    count = len(conj_list)
-    norm_index = G.order // norm_count
-    if count != norm_index:  # pragma: no cover - internal consistency
-        raise AssertionError("Sylow count disagrees with normalizer index")
-    return SylowData(p, P, count, norm_index, conj_list)
+    index = G.order // normalizer(G, P).order
+    return SylowData(p, P, index, index)
 
 
 def is_p_group(P: PermGroup, p: int) -> bool:
@@ -141,7 +106,7 @@ def is_elementary_abelian(P: PermGroup, p: int) -> bool:
     """True iff P is an abelian p-group with every non-identity element of order p."""
     if not is_p_group(P, p):
         raise ValueError("P is not a p-group")
-    elems = [Permutation(row) for row in P.elements]
+    elems = P.element_perms()
     for g in elems:
         if not g.is_identity() and g.order() != p:
             return False
@@ -156,7 +121,7 @@ def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
     """Phi(P) for a p-group: generated by p-th powers and commutators."""
     if not is_p_group(P, p):
         raise ValueError("P is not a p-group")
-    elems = [Permutation(row) for row in P.elements]
+    elems = P.element_perms()
     gens = [g**p for g in elems]
     for g in elems:
         ginv = g.inverse()
@@ -166,12 +131,11 @@ def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
 
 
 def center(P: PermGroup) -> PermGroup:
-    elems = [Permutation(row) for row in P.elements]
-    members = [
-        g for g in elems
-        if all((g * h) == (h * g) for h in P.generators)
-    ]
-    return P.subgroup(members, name="center")
+    E = P.elements
+    keep = np.ones(E.shape[0], dtype=bool)
+    for h in P.generators:
+        keep &= commuting_rows(E, h)
+    return P.subgroup_from_rows(E[keep], name="center")
 
 
 def frattini_center_element(P: PermGroup, p: int) -> Permutation:
@@ -198,7 +162,7 @@ def o_pprime_residual(G: PermGroup, p: int) -> PermGroup:
 
 def conjugacy_classes(G: PermGroup) -> list[list[Permutation]]:
     """Conjugacy classes, each sorted, ordered by least member."""
-    elems = [Permutation(row) for row in G.elements]
+    elems = G.element_perms()
     remaining = {g._key: g for g in elems}
     classes = []
     while remaining:

@@ -209,6 +209,22 @@ class TestErrors:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
 
+    @pytest.mark.parametrize("doc", [
+        {"degree": 10**9, "generators": ["(0 1)"]},
+        {"affine": {"p": 2, "k": 1, "dim": 10**9}},
+        {"affine": {"p": 2, "k": 1, "dim": 13}},
+        {"product": [{"degree": 100, "generators": ["(0 1)"]}] * 2},
+        {"named": "C1000000000"},
+    ])
+    def test_document_over_max_degree(self, runner, spec_file, doc):
+        # each is rejected before its points are allocated
+        for command in ("census", "prop31"):
+            result = runner.invoke(main, [command, spec_file(doc), "--p", "2"])
+            assert result.exit_code == EXIT_ERROR
+            lines = result.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "MAX_DEGREE = 4096" in lines[0]
+
     def test_census_over_degree_bound(self, runner, spec_file):
         path = spec_file({"degree": 25, "generators": ["(0 1)"]})
         result = runner.invoke(main, ["census", path, "--p", "2"])

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from stabparts import (
     PermGroup,
-    Permutation,
     PointSet,
     ResourceLimit,
     all_sylows,
@@ -21,6 +20,7 @@ from stabparts.kernels import (
     subset_orbit_sizes,
 )
 from stabparts.sylow import prime_divisors
+from strategies import small_groups
 
 
 def _brute_counts(G):
@@ -72,28 +72,21 @@ class TestOrbitUnions:
         assert np.array_equal(covered, expect)
 
 
-@st.composite
-def small_groups(draw, max_order):
-    """A group on n <= 8 points from up to three random generators.
-
-    Generators are dropped until |G| <= max_order, so that the brute-force
-    references (element scan, Sylow conjugates) stay fast.
-    """
-    n = draw(st.integers(1, 8))
-    gens = [Permutation(g) for g in draw(st.lists(st.permutations(range(n)), max_size=3))]
-    G = PermGroup(n, gens)
-    while G.order > max_order:
-        gens.pop()
-        G = PermGroup(n, gens)
-    return G
-
-
 def _coverage(G, p):
-    """Subsets fixed by some Sylow p-subgroup, marked conjugate by conjugate."""
+    """Subsets fixed by some Sylow p-subgroup, marked conjugate by conjugate.
+
+    The conjugates g^-1 P g are taken over every element g of G, so the
+    reference relies on Sylow's conjugacy theorem only, not on a count.
+    """
+    P = all_sylows(G, p).representative
     covered = np.zeros(1 << G.degree, dtype=bool)
-    for keyset in all_sylows(G, p).conjugates:
-        P = [Permutation(np.frombuffer(k, dtype=np.int32)) for k in keyset]
-        mark_orbit_unions(covered, [sum(1 << x for x in orb) for orb in orbits(P, G.degree)])
+    marked = set()
+    for g in G.iter_elements():
+        conj = [g.inverse() * h * g for h in P.generators]
+        orbit_masks = tuple(sum(1 << x for x in orb) for orb in orbits(conj, G.degree))
+        if orbit_masks not in marked:  # the marked unions depend on the orbits only
+            marked.add(orbit_masks)
+            mark_orbit_unions(covered, list(orbit_masks))
     return covered
 
 

@@ -76,6 +76,12 @@ class TestCompose:
         assert compose(g, g.inverse()).is_identity()
 
 
+@pytest.mark.parametrize("images", [[0, 0, 1], [1, 2, 3], [-1, 0, 1], [[0, 1]], []])
+def test_constructor_rejects_non_bijections(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
 def test_element_order():
     assert element_order(parse_cycles("(0 1 2)", 3)) == 3
     assert element_order(parse_cycles("(0 1)(2 3 4)", 5)) == 6

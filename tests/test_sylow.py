@@ -2,7 +2,6 @@ import pytest
 
 from stabparts import (
     PermGroup,
-    Permutation,
     all_sylows,
     find_sylow,
     format_cycles,
@@ -66,6 +65,15 @@ class TestAllSylows:
         assert data.count == 784 == 28**2
         assert data.representative.order == 9
 
+    def test_jxj_at_7(self, jxj):
+        assert all_sylows(jxj, 7).count == 64 == 8**2
+
+    def test_jxj_at_2_is_normal(self, jxj):
+        # the translations V x V form the unique Sylow 2-subgroup
+        data = all_sylows(jxj, 2)
+        assert data.count == 1
+        assert data.representative.order == 64
+
     def test_self_sylow(self):
         data = all_sylows(named_group("C4"), 2)
         assert data.count == 1
@@ -86,22 +94,21 @@ class TestAllSylows:
                 assert data.count % p == 1, (name, p)
                 assert G.order % data.count == 0, (name, p)
 
-    def test_conjugates_pairwise_conjugate(self):
-        # spot check: every listed conjugate arises from an explicit element
-        G = named_group("Sym(4)")
-        data = all_sylows(G, 2)
-        pkeys = data.representative.element_keys
-        found = set()
-        for g in G.iter_elements():
-            ginv = g.inverse()
-            conj = frozenset(
-                (ginv * Permutation(row) * g)._key
-                for row in data.representative.elements
-            )
-            assert conj in set(data.conjugates)
-            found.add(conj)
-        assert found == set(data.conjugates)
-        assert pkeys in found
+    def test_conjugates_pairwise_conjugate(self, zoo):
+        # the count is the number of distinct element sets g^-1 P g over all g
+        cases = [(named_group("Sym(4)"), 2)] + [
+            (G, p) for G in zoo.values() if G.order <= 1000
+            for p in prime_divisors(G.order)
+        ]
+        for G, p in cases:
+            data = all_sylows(G, p)
+            P = data.representative.element_perms()
+            conjugates = {
+                frozenset((g.inverse() * h * g)._key for h in P)
+                for g in G.iter_elements()
+            }
+            assert len(conjugates) == data.count, (G.name, p)
+            assert data.representative.element_keys in conjugates
 
 
 class TestElementaryAbelian:
