@@ -63,9 +63,5 @@ from .sylow import (
     find_sylow,
     frattini_center_element,
     is_elementary_abelian,
-    is_Opp,
-    o_pprime_residual,
-    op_p_core,
     p_part,
-    p_prime_core,
 )

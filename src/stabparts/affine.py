@@ -118,7 +118,7 @@ def _matrix_invertible(spec: AffineSpec, matrix) -> bool:
     return True
 
 
-def build_affine(spec: AffineSpec, max_order: int = 10**6) -> PermGroup:
+def build_affine(spec: AffineSpec) -> PermGroup:
     """The permutation group V . <spec generators> on the points of V.
 
     Translation generators by x^j e_i (a GF(p)-basis of V) are always
@@ -136,8 +136,7 @@ def build_affine(spec: AffineSpec, max_order: int = 10**6) -> PermGroup:
             gens.append(spec.translation_perm(vec))
     for g in spec.generators:
         gens.append(spec.gen_permutation(g))
-    return PermGroup(spec.num_points, gens, name=spec.name,
-                     max_order=max_order, affine=spec)
+    return PermGroup(spec.num_points, gens, name=spec.name, affine=spec)
 
 
 def _x_power_index(F: FiniteField, j: int) -> int:

@@ -8,13 +8,12 @@ to the right-action convention.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-DEFAULT_MAX_ORDER = 10**6
 MAX_DEGREE = 4096  # bound on the degree of any group built from a document
+MAX_TABLE_BYTES = 1 << 26  # bound on |G| * degree * 4, the bytes of an element table
 
 
 class DegreeMismatch(ValueError):
@@ -269,12 +268,12 @@ class PointSet:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer chain (Schreier-Sims), used as the non-enumerating order method.
+# Stabilizer chain (Schreier-Sims): the source of |G|, membership and elements.
 # ---------------------------------------------------------------------------
 
 
 class _ChainLevel:
-    __slots__ = ("base_point", "gens", "transversal")
+    __slots__ = ("base_point", "gens", "transversal", "inverses")
 
     def __init__(self, base_point: int, degree: int):
         self.base_point = base_point
@@ -282,6 +281,7 @@ class _ChainLevel:
         self.transversal: dict[int, Permutation] = {
             base_point: Permutation.identity(degree)
         }
+        self.inverses = dict(self.transversal)  # point -> representative^-1
 
 
 class StabilizerChain:
@@ -317,10 +317,10 @@ class StabilizerChain:
         for i in range(start, len(self.levels)):
             lvl = self.levels[i]
             x = int(g.images[lvl.base_point])
-            rep = lvl.transversal.get(x)
+            rep = lvl.inverses.get(x)
             if rep is None:
                 return g, i
-            g = g * rep.inverse()
+            g = g * rep
         return g, len(self.levels)
 
     def _place(self, level: int, g: Permutation) -> int:
@@ -346,11 +346,12 @@ class StabilizerChain:
                 if y not in lvl.transversal:
                     lvl.transversal[y] = lvl.transversal[x] * s
                     frontier.append(y)
+        lvl.inverses = {x: u.inverse() for x, u in lvl.transversal.items()}
         # Every Schreier generator must sift to the identity below this level.
         for x, u in list(lvl.transversal.items()):
             for s in gens:
                 y = int(s.images[x])
-                schreier = u * s * lvl.transversal[y].inverse()
+                schreier = u * s * lvl.inverses[y]
                 residue, at = self._sift(schreier, level + 1)
                 if not residue.is_identity():
                     at = self._place(at, residue)
@@ -366,8 +367,8 @@ class StabilizerChain:
 class PermGroup:
     """A group of permutations of {0..n-1} given by generators.
 
-    Immutable after construction; the order and element table are cached with
-    single-assignment semantics, so shared read-only use is safe.
+    Immutable after construction; the stabilizer chain and element table are
+    cached with single-assignment semantics, so shared read-only use is safe.
     """
 
     def __init__(
@@ -375,7 +376,6 @@ class PermGroup:
         degree: int,
         generators: Iterable[Permutation],
         name: Optional[str] = None,
-        max_order: int = DEFAULT_MAX_ORDER,
         affine=None,
     ):
         gens = [g for g in generators if not g.is_identity()]
@@ -385,12 +385,9 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
-        self.max_order = max_order
         self.affine = affine  # optional AffineSpec provenance
-        self._order: Optional[int] = None
         self._elements: Optional[np.ndarray] = None  # (|G|, n), lex-sorted rows
         self._elem_keys: Optional[frozenset[bytes]] = None
-        self._enumeration_failure: Optional[str] = None  # ResourceLimit message
         self._chain: Optional[StabilizerChain] = None
 
     # -- construction helpers ------------------------------------------------
@@ -407,12 +404,7 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        if self._order is None:
-            try:
-                self._order = int(self.elements.shape[0])
-            except ResourceLimit:
-                self._order = self.chain.order()
-        return self._order
+        return self.chain.order()
 
     @property
     def chain(self) -> StabilizerChain:
@@ -424,17 +416,15 @@ class PermGroup:
     def elements(self) -> np.ndarray:
         """All elements as a lexicographically sorted (|G|, n) image array.
 
-        A failed enumeration is remembered: later reads raise ResourceLimit
-        again without redoing the search.
+        Raises ResourceLimit, before anything is allocated, when the table
+        would exceed MAX_TABLE_BYTES.
         """
         if self._elements is None:
-            if self._enumeration_failure is not None:
-                raise ResourceLimit(self._enumeration_failure)
-            try:
-                self._elements = self._enumerate(self.max_order)
-            except ResourceLimit as exc:
-                self._enumeration_failure = str(exc)
-                raise
+            size = self.order * self.degree * 4
+            if size > MAX_TABLE_BYTES:
+                raise ResourceLimit(f"element table of {size} bytes exceeds "
+                                    f"MAX_TABLE_BYTES = {MAX_TABLE_BYTES}")
+            self._elements = self._enumerate()
         return self._elements
 
     @property
@@ -443,33 +433,16 @@ class PermGroup:
             self._elem_keys = frozenset(row.tobytes() for row in self.elements)
         return self._elem_keys
 
-    def _enumerate(self, limit: int) -> np.ndarray:
+    def _enumerate(self) -> np.ndarray:
+        """Every element as a product of transversal representatives, deepest
+        level first: each level multiplies the rows so far on the right by its
+        representatives."""
         n = self.degree
-        identity = np.arange(n, dtype=np.int32)
-        rows = [identity]
-        seen = {identity.tobytes()}
-        frontier = np.array([identity])
-        gen_arrays = [g.images for g in self.generators]
-        while frontier.size:
-            fresh = []
-            for gimg in gen_arrays:
-                prod = gimg[frontier]  # right action: frontier then g
-                for row in prod:
-                    key = row.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(row)
-            if len(seen) > limit:
-                raise ResourceLimit(
-                    f"group order exceeds enumeration bound {limit}"
-                )
-            if not fresh:
-                break
-            rows.extend(fresh)
-            frontier = np.array(fresh, dtype=np.int32)
-        arr = np.array(rows, dtype=np.int32)
-        order = np.lexsort(arr.T[::-1])
-        arr = arr[order]
+        arr = np.arange(n, dtype=np.int32)[np.newaxis, :]
+        for lvl in reversed(self.chain.levels):
+            reps = np.stack([u.images for u in lvl.transversal.values()])
+            arr = reps[:, arr].reshape(-1, n)
+        arr = arr[np.lexsort(arr.T[::-1])]
         arr.setflags(write=False)
         return arr
 
@@ -481,21 +454,13 @@ class PermGroup:
         return list(self.iter_elements())
 
     def __contains__(self, g: Permutation) -> bool:
-        if g.degree != self.degree:
-            return False
-        if self._enumeration_failure is None:
-            try:
-                return g._key in self.element_keys
-            except ResourceLimit:
-                pass
-        return self.chain.contains(g)
+        return g.degree == self.degree and self.chain.contains(g)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)
 
     def subgroup(self, gens: Iterable[Permutation], name: Optional[str] = None) -> "PermGroup":
-        return PermGroup(self.degree, gens, name=name, max_order=self.max_order,
-                         affine=self.affine)
+        return PermGroup(self.degree, gens, name=name, affine=self.affine)
 
     def subgroup_from_rows(self, rows: np.ndarray, name: Optional[str] = None) -> "PermGroup":
         """The subgroup whose element table is rows, a subset of self.elements
@@ -508,17 +473,17 @@ class PermGroup:
         if rows.shape[0] == self.order:
             return self
         rows.setflags(write=False)
-        H = PermGroup(self.degree, (), name=name, max_order=self.max_order,
-                      affine=self.affine)
+        H = PermGroup(self.degree, (), name=name, affine=self.affine)
         keys = _row_keys(rows)
         generated = rows[:1]  # the identity
         while generated.shape[0] < rows.shape[0]:
             outside = np.flatnonzero(~np.isin(keys, _row_keys(generated)))
-            H.generators += (Permutation._trusted(rows[outside[0]]),)
-            generated = H._enumerate(self.max_order)
+            g = Permutation._trusted(rows[outside[0]])
+            H.generators += (g,)
+            H.chain.add_generator(g)
+            generated = H._enumerate()
         assert np.array_equal(generated, rows), "rows are not a sorted subgroup"
         H._elements = rows
-        H._order = rows.shape[0]
         return H
 
     # -- basic structure -------------------------------------------------------
@@ -654,5 +619,4 @@ def product_action(G1: PermGroup, G2: PermGroup,
     name = None
     if G1.name and G2.name:
         name = f"Product({G1.name},{G2.name})"
-    return PermGroup(n1 * n2, gens, name=name,
-                     max_order=max(G1.max_order, G2.max_order))
+    return PermGroup(n1 * n2, gens, name=name)

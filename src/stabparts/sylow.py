@@ -103,18 +103,13 @@ def is_p_group(P: PermGroup, p: int) -> bool:
 
 
 def is_elementary_abelian(P: PermGroup, p: int) -> bool:
-    """True iff P is an abelian p-group with every non-identity element of order p."""
+    """True iff the p-group P is abelian of exponent p: its generators have
+    order p and commute pairwise, so every product of them has order p too."""
     if not is_p_group(P, p):
         raise ValueError("P is not a p-group")
-    elems = P.element_perms()
-    for g in elems:
-        if not g.is_identity() and g.order() != p:
-            return False
-    for i, g in enumerate(elems):
-        for h in elems[i + 1:]:
-            if (g * h) != (h * g):
-                return False
-    return True
+    gens = P.generators
+    return (all(g.order() == p for g in gens)
+            and all(g * h == h * g for i, g in enumerate(gens) for h in gens[i + 1:]))
 
 
 def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
@@ -148,65 +143,3 @@ def frattini_center_element(P: PermGroup, p: int) -> Permutation:
         if g._key in zkeys and g.order() == p:
             return g
     raise AssertionError("nontrivial Frattini-center element must exist")
-
-
-def o_pprime_residual(G: PermGroup, p: int) -> PermGroup:
-    """O^{p'}(G): the subgroup generated by all p-elements (all Sylow p-subgroups)."""
-    gens = []
-    for g in G.iter_elements():
-        ordg = g.order()
-        if ordg > 1 and p_part(ordg, p) == ordg:
-            gens.append(g)
-    return G.subgroup(gens, name=f"O^{p}'")
-
-
-def conjugacy_classes(G: PermGroup) -> list[list[Permutation]]:
-    """Conjugacy classes, each sorted, ordered by least member."""
-    elems = G.element_perms()
-    remaining = {g._key: g for g in elems}
-    classes = []
-    while remaining:
-        g = next(iter(remaining.values()))
-        cls = {}
-        for h in elems:
-            c = h.inverse() * g * h
-            cls[c._key] = c
-        for key in cls:
-            remaining.pop(key, None)
-        classes.append(sorted(cls.values(), key=lambda x: tuple(x.images)))
-    classes.sort(key=lambda cls: tuple(cls[0].images))
-    return classes
-
-
-def _normal_closure(G: PermGroup, seeds: list[Permutation]) -> PermGroup:
-    gens = []
-    for g in seeds:
-        for h in G.iter_elements():
-            gens.append(h.inverse() * g * h)
-    return G.subgroup(gens, name="normal closure")
-
-
-def p_prime_core(G: PermGroup, p: int) -> PermGroup:
-    """O_{p'}(G): join of normal closures of classes whose closure is a p'-group."""
-    gens: list[Permutation] = []
-    for cls in conjugacy_classes(G):
-        closure = _normal_closure(G, [cls[0]])
-        if closure.order % p != 0:
-            gens.extend(cls)
-    return G.subgroup(gens, name=f"O_{p}'")
-
-
-def op_p_core(G: PermGroup, p: int) -> PermGroup:
-    """O_p(G): join of normal closures of classes whose closure is a p-group."""
-    gens: list[Permutation] = []
-    for cls in conjugacy_classes(G):
-        closure = _normal_closure(G, [cls[0]])
-        if is_p_group(closure, p):
-            gens.extend(cls)
-    return G.subgroup(gens, name=f"O_{p}")
-
-
-def is_Opp(G: PermGroup, p: int) -> bool:
-    """True iff G = O_{p',p}(G), i.e. G/O_{p'}(G) is a p-group."""
-    quotient_order = G.order // p_prime_core(G, p).order
-    return p_part(quotient_order, p) == quotient_order

@@ -1,4 +1,4 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies and a brute-force closure shared by the property tests."""
 
 from hypothesis import strategies as st
 
@@ -19,3 +19,25 @@ def small_groups(draw, max_order):
         gens.pop()
         G = PermGroup(n, gens)
     return G
+
+
+def closure(G):
+    """Every element of G as a sorted list of image tuples.
+
+    A breadth-first closure of the generators under right multiplication,
+    independent of the stabilizer chain that PermGroup uses.
+    """
+    identity = tuple(range(G.degree))
+    gens = [tuple(int(x) for x in g.images) for g in G.generators]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g in gens:
+                b = tuple(g[x] for x in a)  # right action: a, then g
+                if b not in seen:
+                    seen.add(b)
+                    fresh.append(b)
+        frontier = fresh
+    return sorted(seen)

@@ -41,6 +41,15 @@ class TestClassify:
         assert payload["witness"] == [0, 4]
         assert payload["stab_p_part"] == 2
 
+    def test_sym10_classify_over_table_bound(self, runner, spec_file):
+        # the witness checks need the element table, which the byte bound refuses
+        path = spec_file({"degree": 10, "generators": ["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"]})
+        result = runner.invoke(main, ["classify", path, "--p", "2"])
+        assert result.exit_code == EXIT_ERROR
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "MAX_TABLE_BYTES" in lines[0]
+
     def test_extreme_exit_ten(self, runner, spec_file):
         path = spec_file({"named": "D6"})
         result = runner.invoke(main, ["classify", path, "--p", "2"])

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabparts import (
@@ -21,7 +21,8 @@ from stabparts import (
     parse_cycles,
     primitivity_blocks,
 )
-from stabparts.perms import StabilizerChain, product_action
+from stabparts.perms import product_action
+from strategies import closure, small_groups
 
 
 class TestParseCycles:
@@ -98,37 +99,62 @@ class TestGroupOrder:
     def test_trivial(self):
         assert PermGroup.trivial(5).order == 1
 
+    # 10! rows of 10 int32 points take 145 MB, beyond MAX_TABLE_BYTES
+    SYM10 = ["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"]
+
     def test_enumeration_bound(self):
-        G = PermGroup.from_cycles(8, ["(0 1 2 3 4 5 6 7)", "(0 1)"], max_order=100)
-        with pytest.raises(ResourceLimit):
+        G = PermGroup.from_cycles(10, self.SYM10)
+        with pytest.raises(ResourceLimit, match="MAX_TABLE_BYTES"):
             G.elements
-        assert G.order == 40320  # from the stabilizer chain
+        assert G.order == 3628800
 
     def test_failed_enumeration_is_remembered(self, monkeypatch):
+        # the byte bound is checked before the table is built, on every read
         calls = []
         enumerate_ = PermGroup._enumerate
 
-        def counted(self, limit):
-            calls.append(limit)
-            return enumerate_(self, limit)
+        def counted(self):
+            calls.append(self)
+            return enumerate_(self)
 
         monkeypatch.setattr(PermGroup, "_enumerate", counted)
-        G = PermGroup.from_cycles(8, ["(0 1 2 3 4 5 6 7)", "(0 1)"], max_order=100)
+        G = PermGroup.from_cycles(10, self.SYM10)
         for _ in range(2):
-            with pytest.raises(ResourceLimit):
+            with pytest.raises(ResourceLimit, match="MAX_TABLE_BYTES"):
                 G.elements
-        assert parse_cycles("(0 1)", 8) in G
-        assert parse_cycles("(0 1)(2 3)", 8) in G
-        assert len(calls) == 1
+        assert parse_cycles("(0 1)", 10) in G
+        assert calls == []
 
     def test_chain_fallback_over_bound(self):
-        G = PermGroup.from_cycles(8, ["(0 1 2 3 4 5 6 7)", "(0 1)"], max_order=100)
-        assert G.order == 40320
+        # order and membership need no element table
+        G = PermGroup.from_cycles(10, self.SYM10)
+        assert G.order == 3628800
+        assert parse_cycles("(0 1)", 10) in G
+        assert parse_cycles("(0 1)", 11) not in G
+        assert G._elements is None
 
     def test_chain_agrees_with_enumeration(self, zoo):
+        # an independent breadth-first closure of the generators
         for name, G in zoo.items():
-            chain = StabilizerChain(G.degree, G.generators)
-            assert chain.order() == G.order, name
+            rows = closure(G)
+            assert G.order == len(rows), name
+            assert np.array_equal(G.elements, np.array(rows, dtype=np.int32)), name
+            assert all(Permutation(rows[i]) in G for i in range(0, len(rows), 7)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(max_order=5040), st.data())
+@example(PermGroup.trivial(3), None)
+def test_chain_agrees_with_closure(G, data):
+    rows = closure(G)
+    assert G.order == len(rows)
+    assert np.array_equal(G.elements, np.array(rows, dtype=np.int32))
+    members = set(rows)
+    draws = [] if data is None else [
+        data.draw(st.permutations(range(G.degree))) for _ in range(5)]
+    draws += [rows[-1], list(range(G.degree))]
+    for images in draws:
+        assert (Permutation(images) in G) == (tuple(images) in members)
 
 
 class TestOrbits:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from stabparts import (
     PermGroup,
@@ -7,16 +8,13 @@ from stabparts import (
     format_cycles,
     frattini_center_element,
     is_elementary_abelian,
-    is_Opp,
     named_group,
     normalizer,
-    o_pprime_residual,
-    op_p_core,
     p_part,
-    p_prime_core,
     parse_cycles,
 )
-from stabparts.sylow import conjugacy_classes, prime_divisors
+from stabparts.sylow import prime_divisors
+from strategies import small_groups
 
 
 class TestPPart:
@@ -130,6 +128,34 @@ class TestElementaryAbelian:
         with pytest.raises(ValueError):
             is_elementary_abelian(named_group("D6"), 2)
 
+    def test_zoo_sylows_match_element_definition(self, zoo):
+        for name, G in zoo.items():
+            for p in prime_divisors(G.order):
+                P = find_sylow(G, p)
+                assert is_elementary_abelian(P, p) == _elementary_abelian_by_elements(P, p), (
+                    name, p)
+
+
+def _elementary_abelian_by_elements(P, p):
+    """Every non-identity element has order p and every pair commutes."""
+    elems = P.element_perms()
+    return (all(g.is_identity() or g.order() == p for g in elems)
+            and all(g * h == h * g for g in elems for h in elems))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(max_order=720))
+def test_elementary_abelian_matches_element_definition(G):
+    # Sylow subgroups at each prime, under the generators find_sylow picks and
+    # under all their elements as generators; and G itself when it is a p-group
+    for p in prime_divisors(G.order):
+        P = find_sylow(G, p)
+        expected = _elementary_abelian_by_elements(P, p)
+        assert is_elementary_abelian(P, p) == expected
+        assert is_elementary_abelian(G.subgroup(P.element_perms()), p) == expected
+        if P.order == G.order:
+            assert is_elementary_abelian(G, p) == expected
+
 
 class TestFrattiniCenterElement:
     def test_d8_in_s4(self):
@@ -164,47 +190,3 @@ class TestFrattiniCenterElement:
                 z = frattini_center_element(P, p)
                 assert z.order() == p
                 assert all((z * h) == (h * z) for h in P.iter_elements())
-
-
-class TestResidualsAndCores:
-    def test_o_pprime_residual_s3(self):
-        S3 = PermGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
-        assert o_pprime_residual(S3, 3).order == 3
-        assert o_pprime_residual(S3, 2).order == 6
-
-    def test_abelian_p_group(self):
-        C4 = named_group("C4")
-        assert o_pprime_residual(C4, 2).order == 4
-
-    def test_residual_has_pprime_index(self, zoo):
-        for name, G in zoo.items():
-            if G.order > 1000:
-                continue
-            for p in prime_divisors(G.order):
-                K = o_pprime_residual(G, p)
-                assert (G.order // K.order) % p != 0, (name, p)
-                assert p_part(G.order // K.order, p) == 1
-
-    def test_p_prime_core_d6xd6(self):
-        assert p_prime_core(named_group("Product(D6,D6)"), 2).order == 9
-
-    def test_op_core_j_trivial(self):
-        assert op_p_core(named_group("J"), 3).order == 1
-
-    def test_is_opp_c4(self):
-        assert is_Opp(named_group("C4"), 2)
-
-    def test_is_opp_d6(self):
-        # D6 / O_{2'}(D6) = D6 / C3 = C2
-        assert is_Opp(named_group("D6"), 2)
-
-    def test_is_opp_s4_false_for_3(self):
-        # O_{3'}(S4) = V4 (order 4), S4 / V4 = S3 which is not a 3-group
-        assert not is_Opp(named_group("Sym(4)"), 3)
-
-
-def test_conjugacy_classes_partition():
-    S4 = named_group("Sym(4)")
-    classes = conjugacy_classes(S4)
-    assert sorted(len(c) for c in classes) == [1, 3, 6, 6, 8]
-    assert sum(len(c) for c in classes) == 24
