@@ -47,7 +47,6 @@ from .perms import (
     PermGroup,
     PointSet,
     ResourceLimit,
-    centralizer,
     compose,
     element_order,
     format_cycles,

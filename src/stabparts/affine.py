@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import MAX_Q, FiniteField, build_field
-from .perms import MAX_DEGREE, PermGroup, Permutation, parse_cycles
-from .perms import product_action as _plain_product_action
+from .perms import MAX_DEGREE, PermGroup, Permutation, ResourceLimit, parse_cycles
 
 
 @dataclass(frozen=True)
@@ -66,9 +65,6 @@ class AffineSpec:
     def vneg(self, u: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.field.neg(a) for a in u)
 
-    def vscale(self, c: int, u: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.field.mul(c, a) for a in u)
-
     def point_add(self, a: int, b: int) -> int:
         return self.vec_to_point(self.vadd(self.point_to_vec(a), self.point_to_vec(b)))
 
@@ -96,10 +92,7 @@ class AffineSpec:
         return Permutation(images)
 
     def translation_perm(self, vector: Sequence[int]) -> Permutation:
-        q = self.field.q
-        ident = tuple(tuple(1 if i == j else 0 for j in range(self.dim))
-                      for i in range(self.dim))
-        return self.gen_permutation(SemilinearGen(ident, 0, tuple(vector)))
+        return self.gen_permutation(SemilinearGen(_identity_matrix(self.dim), 0, tuple(vector)))
 
 
 def _identity_matrix(dim: int) -> tuple[tuple[int, ...], ...]:
@@ -144,18 +137,26 @@ def _x_power_index(F: FiniteField, j: int) -> int:
     return F.p**j
 
 
-def product_action(G1: PermGroup, G2: PermGroup, **kw) -> PermGroup:
-    """Direct product on pairs; keeps V1 + V2 affine structure when it exists.
+def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
+    """Direct product G1 x G2 on pairs, point (a, b) -> a * n2 + b.
 
     When both factors are affine over the same field, the pair indexing
-    (a, b) -> a * n2 + b coincides with the base-q encoding of concatenated
-    coordinates, so the product is again affine with dim = dim1 + dim2.
+    coincides with the base-q encoding of concatenated coordinates, so the
+    product is again affine with dim = dim1 + dim2.
     """
-    G = _plain_product_action(G1, G2, **kw)
+    n1, n2 = G1.degree, G2.degree
+    if n1 * n2 > MAX_DEGREE:
+        raise ResourceLimit(f"product degree {n1 * n2} exceeds MAX_DEGREE = {MAX_DEGREE}")
+    idx = np.arange(n1 * n2, dtype=np.int32)
+    first, second = idx // n2, idx % n2
+    gens = [Permutation(g.images[first] * n2 + second) for g in G1.generators]
+    gens += [Permutation(first * n2 + g.images[second]) for g in G2.generators]
+    name = f"Product({G1.name},{G2.name})" if G1.name and G2.name else None
     a1, a2 = G1.affine, G2.affine
+    affine = None
     if a1 is not None and a2 is not None and a1.field is a2.field:
-        G.affine = AffineSpec(a1.field, a1.dim + a2.dim, (), name=G.name)
-    return G
+        affine = AffineSpec(a1.field, a1.dim + a2.dim, (), name=name)
+    return PermGroup(n1 * n2, gens, name=name, affine=affine)
 
 
 # ---------------------------------------------------------------------------

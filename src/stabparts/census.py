@@ -43,7 +43,6 @@ class CoverBound:
     orbit_count: int           # orbits of one (hence any) Sylow p-subgroup
     exact: int                 # n_p * 2^{#orbits}
     coarse: Optional[int]      # n_p * 2^{f + (n-f)/p^2}, when z exists
-    coarse_exponent: Optional[tuple[int, int]] = None  # (num, den) of f+(n-f)/p^2
 
     def to_json(self) -> dict:
         return {
@@ -68,7 +67,6 @@ def sylow_cover_bound(G: PermGroup, p: int,
     r = len(P.orbits())
     exact = data.count * (1 << r)
     coarse = None
-    exponent = None
     if not is_elementary_abelian(P, p):
         z = frattini_center_element(P, p)
         f = _fixed_points(z)
@@ -76,11 +74,10 @@ def sylow_cover_bound(G: PermGroup, p: int,
         # f + (n - f)/p^2 may be fractional; ceil gives a valid integer bound
         num = f * p * p + (n - f)
         den = p * p
-        exponent = (num, den)
         coarse = data.count * (1 << ((num + den - 1) // den))
         if exact > coarse:  # pragma: no cover - ruled out by the orbit floor
             raise AssertionError("exact union bound exceeded the coarse bound")
-    return CoverBound(data.count, r, exact, coarse, exponent)
+    return CoverBound(data.count, r, exact, coarse)
 
 
 def _fixed_points(z: Permutation) -> int:
@@ -93,8 +90,7 @@ class CountingCertificate:
     n: int
     z: Permutation
     fixed_points: int
-    sylow_norm_index: int
-    sylow_count: int
+    sylow_norm_index: int  # n_p = |G : N_G(P)|
     verdict: bool
 
     @property
@@ -129,7 +125,7 @@ def prop_certificate(G: PermGroup, p: int,
     Requires a non-elementary-abelian Sylow p-subgroup, from which the
     witness element z of order p in Phi(P) & Z(P) is taken.
     """
-    if G.order % p != 0:
+    if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
     data = sylow if sylow is not None else all_sylows(G, p)
     P = data.representative
@@ -142,9 +138,8 @@ def prop_certificate(G: PermGroup, p: int,
     n = G.degree
     if (n - f) % p != 0:  # pragma: no cover - z has order p
         raise AssertionError("non-fixed points of z must fall in p-cycles")
-    index = data.normalizer_index
-    verdict = index ** (p * p) < (1 << ((n - f) * (p - 1)))
-    return CountingCertificate(p, n, z, f, index, data.count, verdict)
+    verdict = data.count ** (p * p) < (1 << ((n - f) * (p - 1)))
+    return CountingCertificate(p, n, z, f, data.count, verdict)
 
 
 def orbit_size_floor_check(P: PermGroup, p: int, z: Permutation) -> bool:

@@ -68,7 +68,7 @@ def is_p_concealed(G: PermGroup, p: int) -> tuple[bool, Optional[PointSet]]:
     Returns (True, None) or (False, least uncovered subset in mask order).
     Stab(S) contains a Sylow p-subgroup iff p does not divide |S^G|.
     """
-    if G.order % p != 0:
+    if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G|")
     sizes = _orbit_sizes(G)
     uncovered = np.flatnonzero(sizes % p == 0)
@@ -98,9 +98,9 @@ def regular_orbit_vector(H: PermGroup) -> Optional[int]:
     return int(free[0]) if free.size else None
 
 
-def regular_orbit_pair(H: PermGroup,
-                       require_nonzero: bool = True) -> Optional[tuple[int, int]]:
-    """Least pair (v, w) with trivial joint H-stabilizer on V + V, or None.
+def regular_orbit_pair(H: PermGroup) -> Optional[tuple[int, int]]:
+    """Least pair (v, w) of nonzero vectors with trivial joint H-stabilizer
+    on V + V, or None.
 
     Per-element fixed-point sets are precomputed, so the scan costs |H| bit
     operations per candidate v rather than a fresh orbit computation.
@@ -112,18 +112,15 @@ def regular_orbit_pair(H: PermGroup,
     ar = np.arange(n, dtype=np.int32)
     nonid = elems[(elems != ar).any(axis=1)]
     if nonid.shape[0] == 0:
-        v = 1 if require_nonzero and n > 1 else 0
-        w = 1 if require_nonzero and n > 1 else 0
-        return (v, w)
+        v = 1 if n > 1 else 0
+        return (v, v)
     fixes = nonid == ar  # (m, n) bool: element i fixes point x
-    start = 1 if require_nonzero else 0
-    for v in range(start, n):
+    for v in range(1, n):
         fixing_v = fixes[fixes[:, v]]  # rows of elements fixing v
         if fixing_v.shape[0] == 0:
-            w = start
-            return (v, w if w != 0 else v)
+            return (v, 1)
         ok = ~fixing_v.any(axis=0)
-        for w in range(start, n):
+        for w in range(1, n):
             if ok[w]:
                 return (v, w)
     return None
@@ -239,8 +236,8 @@ def orbit_witness_odd_p(G: PermGroup, p: int) -> list[PointSet]:
     if pair is None:
         raise ConstructorInapplicable("no regular pair on V + V")
     v, w = pair
-    orbit_v = _cyclic_orbit(t, v, p)
-    orbit_w = _cyclic_orbit(t, w, p)
+    orbit_v = _cyclic_orbit(t, v)
+    orbit_w = _cyclic_orbit(t, w)
     if len(orbit_v) == 1 and len(orbit_w) == 1:
         raise ConstructorInapplicable("t centralizes both regular coordinates")
     if len(orbit_v) == 1:
@@ -248,7 +245,7 @@ def orbit_witness_odd_p(G: PermGroup, p: int) -> list[PointSet]:
         orbit_v, orbit_w = orbit_w, orbit_v
     if len(orbit_w) == 1:
         w = spec.point_add(v, w)  # (v, v + w) is still in a regular orbit
-        orbit_w = _cyclic_orbit(t, w, p)
+        orbit_w = _cyclic_orbit(t, w)
     if orbit_v == orbit_w:
         return [PointSet(G.degree, {0} | orbit_v)]
     return [
@@ -257,7 +254,7 @@ def orbit_witness_odd_p(G: PermGroup, p: int) -> list[PointSet]:
     ]
 
 
-def _cyclic_orbit(t: Permutation, x: int, p: int) -> set[int]:
+def _cyclic_orbit(t: Permutation, x: int) -> set[int]:
     orb = {x}
     y = int(t.images[x])
     while y != x:
@@ -323,7 +320,7 @@ def exhaustive_p_parts(G: PermGroup, p: int) -> np.ndarray:
 
 def census_histogram(G: PermGroup, p: int) -> dict[int, int]:
     """Map from stabilizer p-part value to the number of subsets attaining it."""
-    if G.order % p != 0:
+    if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G|")
     parts = exhaustive_p_parts(G, p)
     values, counts = np.unique(parts, return_counts=True)
@@ -360,10 +357,10 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
     if strategy not in ("exhaustive", "constructive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     order = G.order
-    if order % p != 0:
+    gp = p_part(order, p)
+    if gp == 1:
         raise ValueError(f"{p} does not divide |G| = {order}")
     n = G.degree
-    gp = p_part(order, p)
     report = ModerationReport(p, n, order, gp, "EXTREME", strategy=strategy)
 
     if gp == p:

@@ -125,9 +125,6 @@ class FiniteField:
         row = np.nonzero(self.add_table[a] == 0)[0]
         return int(row[0])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
 

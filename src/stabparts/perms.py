@@ -106,9 +106,6 @@ class Permutation:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._key == other._key
 
@@ -243,9 +240,6 @@ class PointSet:
 
     def image(self, g: Permutation) -> "PointSet":
         return PointSet(self.degree, (int(g.images[x]) for x in self.members))
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.degree, set(range(self.degree)) - self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -387,7 +381,6 @@ class PermGroup:
         self.name = name
         self.affine = affine  # optional AffineSpec provenance
         self._elements: Optional[np.ndarray] = None  # (|G|, n), lex-sorted rows
-        self._elem_keys: Optional[frozenset[bytes]] = None
         self._chain: Optional[StabilizerChain] = None
 
     # -- construction helpers ------------------------------------------------
@@ -427,12 +420,6 @@ class PermGroup:
             self._elements = self._enumerate()
         return self._elements
 
-    @property
-    def element_keys(self) -> frozenset[bytes]:
-        if self._elem_keys is None:
-            self._elem_keys = frozenset(row.tobytes() for row in self.elements)
-        return self._elem_keys
-
     def _enumerate(self) -> np.ndarray:
         """Every element as a product of transversal representatives, deepest
         level first: each level multiplies the rows so far on the right by its
@@ -449,9 +436,6 @@ class PermGroup:
     def iter_elements(self) -> Iterator[Permutation]:
         for row in self.elements:
             yield Permutation._trusted(row)
-
-    def element_perms(self) -> list[Permutation]:
-        return list(self.iter_elements())
 
     def __contains__(self, g: Permutation) -> bool:
         return g.degree == self.degree and self.chain.contains(g)
@@ -494,16 +478,13 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def __repr__(self) -> str:
         label = self.name or f"{len(self.generators)} gens"
         return f"PermGroup(degree={self.degree}, {label})"
 
 
 # ---------------------------------------------------------------------------
-# Normalizer / centralizer, vectorized over the element table
+# Normalizer, vectorized over the element table
 # ---------------------------------------------------------------------------
 
 
@@ -536,11 +517,6 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
 def commuting_rows(E: np.ndarray, g: Permutation) -> np.ndarray:
     """Mask of the rows h of E with hg = gh, i.e. g[h[x]] = h[g[x]] for all x."""
     return (g.images[E] == E[:, g.images]).all(axis=1)
-
-
-def centralizer(G: PermGroup, g: Permutation) -> PermGroup:
-    E = G.elements
-    return G.subgroup_from_rows(E[commuting_rows(E, g)], name="centralizer")
 
 
 # ---------------------------------------------------------------------------
@@ -596,27 +572,3 @@ def primitivity_blocks(G: PermGroup) -> Optional[list[list[int]]]:
 
 def is_primitive(G: PermGroup) -> bool:
     return G.is_transitive() and primitivity_blocks(G) is None
-
-
-# ---------------------------------------------------------------------------
-# Product action
-# ---------------------------------------------------------------------------
-
-
-def product_action(G1: PermGroup, G2: PermGroup,
-                   max_degree: int = MAX_DEGREE) -> PermGroup:
-    """Direct product G1 x G2 on pairs, point (a, b) -> a * n2 + b."""
-    n1, n2 = G1.degree, G2.degree
-    if n1 * n2 > max_degree:
-        raise ResourceLimit(f"product degree {n1 * n2} exceeds MAX_DEGREE = {max_degree}")
-    idx = np.arange(n1 * n2, dtype=np.int32)
-    first, second = idx // n2, idx % n2
-    gens = []
-    for g in G1.generators:
-        gens.append(Permutation(g.images[first] * n2 + second))
-    for g in G2.generators:
-        gens.append(Permutation(first * n2 + g.images[second]))
-    name = None
-    if G1.name and G2.name:
-        name = f"Product({G1.name},{G2.name})"
-    return PermGroup(n1 * n2, gens, name=name)

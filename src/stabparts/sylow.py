@@ -1,7 +1,8 @@
 """Sylow p-subgroups and the p-structure predicates used by the classifier.
 
-Everything here works on fully enumerated groups; results are exact and
-brute-force checkable by construction.
+Sylow subgroups, normalizers and centers are read off element tables; the
+Frattini subgroup is grown from generators in a stabilizer chain.  Results
+are exact and brute-force checkable by construction.
 """
 
 from __future__ import annotations
@@ -45,24 +46,20 @@ def p_part(n: int, p: int) -> int:
 class SylowData:
     p: int
     representative: PermGroup
-    count: int
-    normalizer_index: int
+    count: int  # n_p = |G : N_G(P)|
 
     def to_json(self) -> dict:
         return {
             "p": self.p,
             "sylow_order": self.representative.order,
             "count": self.count,
-            "normalizer_index": self.normalizer_index,
+            "normalizer_index": self.count,
         }
 
 
 def _least_p_element(G: PermGroup, p: int) -> Permutation:
-    """Least element (by image array) of order a positive power of p.
-
-    A power of any element whose order is divisible by p works; taking
-    g^(ord/p-part) gives a p-element directly, so a single sorted pass
-    suffices.
+    """The p-power part g^(ord/p-part) of the least element g (by image
+    array) whose order p divides: a nontrivial p-element, from one sorted pass.
     """
     for g in G.iter_elements():
         ordg = g.order()
@@ -94,8 +91,7 @@ def find_sylow(G: PermGroup, p: int) -> PermGroup:
 def all_sylows(G: PermGroup, p: int) -> SylowData:
     """One Sylow p-subgroup P with n_p = |G : N_G(P)|, the number of its conjugates."""
     P = find_sylow(G, p)
-    index = G.order // normalizer(G, P).order
-    return SylowData(p, P, index, index)
+    return SylowData(p, P, G.order // normalizer(G, P).order)
 
 
 def is_p_group(P: PermGroup, p: int) -> bool:
@@ -113,16 +109,30 @@ def is_elementary_abelian(P: PermGroup, p: int) -> bool:
 
 
 def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
-    """Phi(P) for a p-group: generated by p-th powers and commutators."""
+    """Phi(P) = P^p [P, P] for a p-group: the normal closure in P of the
+    generators' p-th powers and pairwise commutators, since P modulo that
+    closure is generated by commuting elements of order p.
+
+    One stabilizer chain grows: each element that does not sift through it
+    joins the generators, and its conjugates by P's generators are queued.
+    When the queue is empty, the conjugates of every generator are members,
+    so the subgroup is normal.
+    """
     if not is_p_group(P, p):
         raise ValueError("P is not a p-group")
-    elems = P.element_perms()
-    gens = [g**p for g in elems]
-    for g in elems:
-        ginv = g.inverse()
-        for h in elems:
-            gens.append(ginv * h.inverse() * g * h)
-    return P.subgroup(gens, name="Frattini")
+    gens = P.generators
+    phi = P.subgroup((), name="Frattini")
+    pending = [g**p for g in gens]
+    pending += [a.inverse() * b.inverse() * a * b
+                for i, a in enumerate(gens) for b in gens[i + 1:]]
+    while pending:
+        h = pending.pop()
+        if h in phi:
+            continue
+        phi.generators += (h,)
+        phi.chain.add_generator(h)
+        pending += [g.inverse() * h * g for g in gens]
+    return phi
 
 
 def center(P: PermGroup) -> PermGroup:
@@ -138,8 +148,7 @@ def frattini_center_element(P: PermGroup, p: int) -> Permutation:
     if is_elementary_abelian(P, p):
         raise ValueError("P is elementary abelian; no Frattini-center element")
     phi = frattini_subgroup(P, p)
-    zkeys = center(P).element_keys
-    for g in phi.iter_elements():  # elements come lexicographically sorted
-        if g._key in zkeys and g.order() == p:
+    for g in center(P).iter_elements():  # elements come lexicographically sorted
+        if g.order() == p and g in phi:
             return g
     raise AssertionError("nontrivial Frattini-center element must exist")

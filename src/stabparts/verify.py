@@ -240,10 +240,11 @@ def property_suite(seed: int = 0) -> list[Check]:
             delta = PointSet(G.degree,
                              rng.sample(range(G.degree),
                                         rng.randint(1, G.degree - 1)))
-            lhs = setwise_stabilizer(G, delta.image(g))
-            rhs = {(g.inverse() * s * g)._key
-                   for s in setwise_stabilizer(G, delta).iter_elements()}
-            ok &= lhs.element_keys == rhs
+            lhs = setwise_stabilizer(G, delta.image(g)).elements
+            # g^-1 s g maps x to g[s[g^-1[x]]], for every row s of Stab(Delta)
+            S = setwise_stabilizer(G, delta).elements
+            rhs = np.unique(g.images[S[:, g.inverse().images]], axis=0)
+            ok &= np.array_equal(lhs, rhs)
     out.append(_check("Stab(Delta.g) = g^-1 Stab(Delta) g", ok))
 
     # orbit-size floor for every applicable (P, z)

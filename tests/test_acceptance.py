@@ -178,13 +178,13 @@ def test_criterion_7_property_suites(zoo):
     for name, G in zoo.items():
         if G.degree > 16:
             continue
-        elems = G.element_perms()
+        elems = list(G.iter_elements())
         for _ in range(5):
             g = rng.choice(elems)
             delta = PointSet(
                 G.degree, rng.sample(range(G.degree), G.degree // 2 or 1)
             )
-            lhs = setwise_stabilizer(G, delta.image(g)).element_keys
+            lhs = {s._key for s in setwise_stabilizer(G, delta.image(g)).iter_elements()}
             rhs = {
                 (g.inverse() * s * g)._key
                 for s in setwise_stabilizer(G, delta).iter_elements()

@@ -68,7 +68,7 @@ class TestSetwiseStabilizer:
     def test_is_a_subgroup(self):
         G = named_group("AGL(2,3)")
         stab = setwise_stabilizer(G, PointSet(9, [0, 1, 2]))
-        keys = stab.element_keys
+        keys = {g._key for g in stab.iter_elements()}
         for g in stab.iter_elements():
             assert g.inverse()._key in keys
 
@@ -343,14 +343,14 @@ class TestConjugationCovariance:
         for name, G in zoo.items():
             if G.degree > 16:
                 continue
-            elems = G.element_perms()
+            elems = list(G.iter_elements())
             for _ in range(5):
                 g = rng.choice(elems)
                 delta = PointSet(
                     G.degree,
                     rng.sample(range(G.degree), rng.randint(1, G.degree - 1)),
                 )
-                lhs = setwise_stabilizer(G, delta.image(g)).element_keys
+                lhs = {s._key for s in setwise_stabilizer(G, delta.image(g)).iter_elements()}
                 rhs = {
                     (g.inverse() * s * g)._key
                     for s in setwise_stabilizer(G, delta).iter_elements()

@@ -234,6 +234,16 @@ class TestErrors:
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "MAX_DEGREE = 4096" in lines[0]
 
+    @pytest.mark.parametrize("command", ["classify", "witness", "concealed", "census",
+                                         "sylow", "prop31"])
+    @pytest.mark.parametrize("p", ["0", "1", "4"])
+    def test_non_prime_p(self, runner, spec_file, command, p):
+        # 4 divides |Sym(4)| = 24 but is not prime
+        result = runner.invoke(main, [command, spec_file({"named": "Sym(4)"}), "--p", p])
+        assert result.exit_code == EXIT_ERROR
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0] == f"error: {p} is not prime"
+
     def test_census_over_degree_bound(self, runner, spec_file):
         path = spec_file({"degree": 25, "generators": ["(0 1)"]})
         result = runner.invoke(main, ["census", path, "--p", "2"])

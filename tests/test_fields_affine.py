@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from stabparts import build_field, named_group, parse_cycles, PermGroup
@@ -181,14 +182,15 @@ class TestNamedCatalog:
         A = named_group("D6")
         B = PermGroup.from_cycles(3, ["(0 1 2)", "(1 2)"])
         assert A.order == B.order
-        assert A.element_keys == B.element_keys  # same subgroup of Sym(3)
+        assert np.array_equal(A.elements, B.elements)  # same subgroup of Sym(3)
 
     def test_affine_d6_cycle_types(self):
         from collections import Counter
 
         A = named_group("D6")
         B = PermGroup.from_cycles(3, ["(0 1 2)", "(1 2)"])
-        ct = lambda G: Counter(g.cycle_type() for g in G.iter_elements())
+        ct = lambda G: Counter(tuple(sorted(len(c) for c in g.cycles(include_fixed=True)))
+                               for g in G.iter_elements())
         assert ct(A) == ct(B)
 
 

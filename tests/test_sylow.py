@@ -3,18 +3,21 @@ from hypothesis import given, settings
 
 from stabparts import (
     PermGroup,
+    Permutation,
     all_sylows,
     find_sylow,
     format_cycles,
     frattini_center_element,
+    group_from_document,
     is_elementary_abelian,
     named_group,
     normalizer,
     p_part,
     parse_cycles,
+    prop_certificate,
 )
-from stabparts.sylow import prime_divisors
-from strategies import small_groups
+from stabparts.sylow import frattini_subgroup, prime_divisors
+from strategies import closure, small_groups
 
 
 class TestPPart:
@@ -56,7 +59,7 @@ class TestAllSylows:
     def test_j_has_28(self):
         data = all_sylows(named_group("J"), 3)
         assert data.count == 28
-        assert data.normalizer_index == 28
+        assert data.to_json()["normalizer_index"] == 28
 
     def test_jxj_has_784(self, jxj):
         data = all_sylows(jxj, 3)
@@ -83,7 +86,7 @@ class TestAllSylows:
             for p in prime_divisors(G.order):
                 data = all_sylows(G, p)
                 N = normalizer(G, data.representative)
-                assert data.count == G.order // N.order == data.normalizer_index
+                assert data.count == G.order // N.order
 
     def test_sylow_axioms(self, zoo):
         for name, G in zoo.items():
@@ -100,13 +103,13 @@ class TestAllSylows:
         ]
         for G, p in cases:
             data = all_sylows(G, p)
-            P = data.representative.element_perms()
+            P = list(data.representative.iter_elements())
             conjugates = {
                 frozenset((g.inverse() * h * g)._key for h in P)
                 for g in G.iter_elements()
             }
             assert len(conjugates) == data.count, (G.name, p)
-            assert data.representative.element_keys in conjugates
+            assert frozenset(h._key for h in P) in conjugates
 
 
 class TestElementaryAbelian:
@@ -138,7 +141,7 @@ class TestElementaryAbelian:
 
 def _elementary_abelian_by_elements(P, p):
     """Every non-identity element has order p and every pair commutes."""
-    elems = P.element_perms()
+    elems = list(P.iter_elements())
     return (all(g.is_identity() or g.order() == p for g in elems)
             and all(g * h == h * g for g in elems for h in elems))
 
@@ -152,7 +155,7 @@ def test_elementary_abelian_matches_element_definition(G):
         P = find_sylow(G, p)
         expected = _elementary_abelian_by_elements(P, p)
         assert is_elementary_abelian(P, p) == expected
-        assert is_elementary_abelian(G.subgroup(P.element_perms()), p) == expected
+        assert is_elementary_abelian(G.subgroup(P.iter_elements()), p) == expected
         if P.order == G.order:
             assert is_elementary_abelian(G, p) == expected
 
@@ -190,3 +193,74 @@ class TestFrattiniCenterElement:
                 z = frattini_center_element(P, p)
                 assert z.order() == p
                 assert all((z * h) == (h * z) for h in P.iter_elements())
+
+    def test_zoo_frattini_matches_element_definition(self, zoo):
+        for name, G in zoo.items():
+            for p in prime_divisors(G.order):
+                _check_frattini(find_sylow(G, p), p)
+
+    @pytest.mark.parametrize("degree, gens, p", [
+        # the generators' p-th powers and commutators generate a subgroup that
+        # is not normal (order 8 and 3), so Phi (order 16 and 9) needs the closure
+        (8, ["(0 6 2 5)(1 7 3 4)", "(0 1)(2 3)(6 7)"], 2),
+        (9, ["(0 8 5)(1 6 3)(2 7 4)", "(3 4 5)(6 7 8)", "(0 6 4)(1 7 5)(2 8 3)"], 3),
+        # C4 x C2: the least central involution, (4 5), lies outside Phi
+        (6, ["(0 1 2 3)", "(4 5)"], 2),
+    ])
+    def test_frattini_edge_cases_match_element_definition(self, degree, gens, p):
+        _check_frattini(PermGroup.from_cycles(degree, gens), p)
+
+
+def _frattini_by_elements(P, p):
+    """Phi(P) and z from their definitions over all elements of P.
+
+    Phi(P) is generated by g^p and [a, b] for all g, a, b in P, closed by
+    breadth-first search; z is the least element of Phi(P) of order p that
+    commutes with every element of P, or None.
+    """
+    elems = list(P.iter_elements())
+    gens = {g**p for g in elems} | {a.inverse() * b.inverse() * a * b
+                                    for a in elems for b in elems}
+    phi = closure(PermGroup(P.degree, gens))
+    for x in phi:  # sorted, so the first hit is the least
+        g = Permutation(x)
+        if g.order() == p and all(g * h == h * g for h in elems):
+            return phi, x
+    return phi, None
+
+
+def _check_frattini(P, p):
+    phi, z = _frattini_by_elements(P, p)
+    assert [tuple(row) for row in frattini_subgroup(P, p).elements.tolist()] == phi
+    if is_elementary_abelian(P, p):
+        assert z is None
+        with pytest.raises(ValueError):
+            frattini_center_element(P, p)
+    else:
+        assert tuple(frattini_center_element(P, p).images.tolist()) == z
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(max_order=720))
+def test_frattini_matches_element_definition(G):
+    # Sylow subgroups at each prime, under the generators find_sylow picks and
+    # under all their elements as generators
+    for p in prime_divisors(G.order):
+        P = find_sylow(G, p)
+        _check_frattini(P, p)
+        _check_frattini(G.subgroup(P.iter_elements()), p)
+
+
+def test_agl42_sylow2_known_values():
+    # AGL(4,2), |G| = 322560: GL(4,2) from a transvection and a 4-cycle of coordinates
+    G = group_from_document({"affine": {"p": 2, "k": 1, "dim": 4, "generators": [
+        {"matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+        {"matrix": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]},
+    ]}})
+    data = all_sylows(G, 2)
+    P = data.representative
+    assert (G.order, P.order, data.count) == (322560, 1024, 315)
+    assert frattini_subgroup(P, 2).order == 64
+    cert = prop_certificate(G, 2, sylow=data)
+    assert format_cycles(cert.z) == "".join(f"({2 * i} {2 * i + 1})" for i in range(8))
+    assert (cert.fixed_points, cert.sylow_norm_index, cert.verdict) == (0, 315, False)
