@@ -1,7 +1,10 @@
 """Affine and semilinear permutation groups on the vectors of V = GF(q)^m.
 
 Points are the base-q positional encodings of coordinate vectors, last
-coordinate least significant; point 0 is the zero vector.  A semilinear
+coordinate least significant; point 0 is the zero vector.  AffineSpec.coords,
+the coordinate rows of all points, is the one place that holds this
+encoding: generators are computed on that array with the field's lookup
+tables, and _points maps coordinate rows back.  A semilinear
 generator (A, e, b) acts on the right as v -> (v^sigma) A + b with
 sigma: x -> x^(p^e) applied entrywise.
 """
@@ -9,8 +12,9 @@ sigma: x -> x^(p^e) applied entrywise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -38,77 +42,40 @@ class AffineSpec:
     def num_points(self) -> int:
         return self.field.q**self.dim
 
-    def vec_to_point(self, coords: Sequence[int]) -> int:
-        if len(coords) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates")
-        point = 0
-        for c in coords:
-            if not 0 <= c < self.field.q:
-                raise ValueError(f"coordinate {c} outside GF({self.field.q})")
-            point = point * self.field.q + c
-        return point
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The (q^dim, dim) field indices of every point's coordinates."""
+        coords = np.indices((self.field.q,) * self.dim, dtype=np.int32)
+        coords = coords.reshape(self.dim, -1).T
+        coords.setflags(write=False)
+        return coords
 
-    def point_to_vec(self, point: int) -> tuple[int, ...]:
-        if not 0 <= point < self.num_points:
-            raise ValueError(f"point {point} out of range")
-        coords = []
-        for _ in range(self.dim):
-            coords.append(point % self.field.q)
-            point //= self.field.q
-        return tuple(reversed(coords))
-
-    # -- vector helpers --------------------------------------------------------
-
-    def vadd(self, u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.field.add(a, b) for a, b in zip(u, v))
-
-    def vneg(self, u: Sequence[int]) -> tuple[int, ...]:
-        return tuple(self.field.neg(a) for a in u)
+    def _points(self, coords: np.ndarray) -> np.ndarray:
+        """The points with these coordinates (last axis); inverse of coords."""
+        return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)),
+                                    (self.field.q,) * self.dim)
 
     def point_add(self, a: int, b: int) -> int:
-        return self.vec_to_point(self.vadd(self.point_to_vec(a), self.point_to_vec(b)))
+        return int(self._points(self.field.add_table[self.coords[a], self.coords[b]]))
 
     def point_neg(self, a: int) -> int:
-        return self.vec_to_point(self.vneg(self.point_to_vec(a)))
-
-    def apply_gen(self, gen: SemilinearGen, coords: Sequence[int]) -> tuple[int, ...]:
-        F = self.field
-        v = [F.frobenius(c, gen.frob) if gen.frob else c for c in coords]
-        out = []
-        for j in range(self.dim):
-            acc = 0
-            for i in range(self.dim):
-                acc = F.add(acc, F.mul(v[i], gen.matrix[i][j]))
-            out.append(acc)
-        if gen.translation:
-            out = [F.add(a, b) for a, b in zip(out, gen.translation)]
-        return tuple(out)
+        return int(self._points(self.field.neg_table[self.coords[a]]))
 
     def gen_permutation(self, gen: SemilinearGen) -> Permutation:
-        images = [
-            self.vec_to_point(self.apply_gen(gen, self.point_to_vec(pt)))
-            for pt in range(self.num_points)
-        ]
-        return Permutation(images)
-
-    def translation_perm(self, vector: Sequence[int]) -> Permutation:
-        return self.gen_permutation(SemilinearGen(_identity_matrix(self.dim), 0, tuple(vector)))
-
-
-def _identity_matrix(dim: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-
-
-def _matrix_invertible(spec: AffineSpec, matrix) -> bool:
-    # a matrix over GF(q) is invertible iff the induced map on V is injective
-    seen = set()
-    gen = SemilinearGen(matrix, 0, ())
-    for pt in range(spec.num_points):
-        img = spec.apply_gen(gen, spec.point_to_vec(pt))
-        if img in seen:
-            return False
-        seen.add(img)
-    return True
+        """The generator's action on all points at once, through field tables."""
+        F = self.field
+        v = self.coords
+        for _ in range(gen.frob % F.k):  # sigma has order k
+            v = F.frobenius_table[v]
+        out = np.zeros_like(v)
+        for i, row in enumerate(gen.matrix):  # out += v_i * (row i of A)
+            out = F.add_table[out, F.mul_table[v[:, i, np.newaxis], row]]
+        if gen.translation:
+            out = F.add_table[out, gen.translation]
+        try:
+            return Permutation(self._points(out))
+        except ValueError:  # a bijection of V iff the matrix is invertible
+            raise ValueError("semilinear generator has a singular matrix") from None
 
 
 def build_affine(spec: AffineSpec) -> PermGroup:
@@ -118,23 +85,15 @@ def build_affine(spec: AffineSpec) -> PermGroup:
     included, so the translation subgroup is all of V.
     """
     F = spec.field
-    for g in spec.generators:
-        if not _matrix_invertible(spec, g.matrix):
-            raise ValueError("semilinear generator has a singular matrix")
+    semilinear = [spec.gen_permutation(g) for g in spec.generators]
+    identity = tuple(tuple(int(i == j) for j in range(spec.dim)) for i in range(spec.dim))
     gens = []
     for i in range(spec.dim):
         for j in range(F.k):
             vec = [0] * spec.dim
-            vec[i] = _x_power_index(F, j)  # x^j in slot i; a GF(p)-basis vector
-            gens.append(spec.translation_perm(vec))
-    for g in spec.generators:
-        gens.append(spec.gen_permutation(g))
-    return PermGroup(spec.num_points, gens, name=spec.name, affine=spec)
-
-
-def _x_power_index(F: FiniteField, j: int) -> int:
-    # index of x^j: base-p digit 1 in position j
-    return F.p**j
+            vec[i] = F.p**j  # x^j in slot i, index p^j; a GF(p)-basis vector
+            gens.append(spec.gen_permutation(SemilinearGen(identity, 0, tuple(vec))))
+    return PermGroup(spec.num_points, gens + semilinear, name=spec.name, affine=spec)
 
 
 def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
@@ -167,7 +126,7 @@ def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
 def _dihedral_affine(q: int) -> PermGroup:
     """D_{2q} as x -> +-x + b on GF(q), q odd prime."""
     F = build_field(q, 1)
-    spec = AffineSpec(F, 1, (SemilinearGen(((F.neg(1),),), 0, ()),),
+    spec = AffineSpec(F, 1, (SemilinearGen(((int(F.neg_table[1]),),), 0, ()),),
                       name=f"D{2 * q}")
     return build_affine(spec)
 

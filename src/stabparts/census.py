@@ -118,8 +118,7 @@ class CountingCertificate:
         }
 
 
-def prop_certificate(G: PermGroup, p: int,
-                     sylow: Optional[SylowData] = None) -> CountingCertificate:
+def prop_certificate(G: PermGroup, p: int) -> CountingCertificate:
     """Evaluate the counting criterion; verdict True certifies p-moderation.
 
     Requires a non-elementary-abelian Sylow p-subgroup, from which the
@@ -127,7 +126,7 @@ def prop_certificate(G: PermGroup, p: int,
     """
     if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
-    data = sylow if sylow is not None else all_sylows(G, p)
+    data = all_sylows(G, p)
     P = data.representative
     if is_elementary_abelian(P, p):
         raise CriterionInapplicable(

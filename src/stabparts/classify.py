@@ -68,6 +68,7 @@ def is_p_concealed(G: PermGroup, p: int) -> tuple[bool, Optional[PointSet]]:
     Returns (True, None) or (False, least uncovered subset in mask order).
     Stab(S) contains a Sylow p-subgroup iff p does not divide |S^G|.
     """
+    kernels.check_scan_bits(G.degree)  # before |G|, which can cost far more
     if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G|")
     sizes = _orbit_sizes(G)
@@ -159,14 +160,8 @@ def translation_witness(G: PermGroup, p: int) -> PointSet:
         )
     if spec.field.p != p:
         raise ConstructorInapplicable("p is not the characteristic of V")
-    # least nonzero vector; every nonzero vector has additive order p
-    v = 1
-    pts = [0]
-    x = v
-    while x != 0:
-        pts.append(x)
-        x = spec.point_add(x, v)
-    return PointSet(n, pts)
+    # the GF(p)-multiples of the last basis vector are the points 0..p-1
+    return PointSet(n, range(p))
 
 
 def regular_vector_witness(G: PermGroup, p: int) -> PointSet:
@@ -320,6 +315,7 @@ def exhaustive_p_parts(G: PermGroup, p: int) -> np.ndarray:
 
 def census_histogram(G: PermGroup, p: int) -> dict[int, int]:
     """Map from stabilizer p-part value to the number of subsets attaining it."""
+    kernels.check_scan_bits(G.degree)  # before |G|, which can cost far more
     if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G|")
     parts = exhaustive_p_parts(G, p)

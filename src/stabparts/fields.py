@@ -38,7 +38,8 @@ def is_prime(n: int) -> bool:
 
 
 class FiniteField:
-    """GF(p^k) with dense addition/multiplication tables."""
+    """GF(p^k) with dense lookup tables: addition and multiplication,
+    negation (neg_table) and the Frobenius map a -> a^p (frobenius_table)."""
 
     def __init__(self, p: int, k: int):
         if not is_prime(p):
@@ -57,7 +58,14 @@ class FiniteField:
             except KeyError:
                 raise ValueError(f"no modulus on file for GF({p}^{k})") from None
         self.add_table, self.mul_table = self._build_tables()
-        self._inv = self._build_inverses()
+        self._check_inverses()
+        # each row of add_table holds one zero, in the column of -a
+        self.neg_table = np.nonzero(self.add_table == 0)[1].astype(np.int16)
+        self.frobenius_table = np.ones(q, dtype=np.int16)  # a -> a^p
+        for _ in range(p):
+            self.frobenius_table = self.mul_table[self.frobenius_table, np.arange(q)]
+        self.neg_table.setflags(write=False)
+        self.frobenius_table.setflags(write=False)
 
     # -- table construction --------------------------------------------------
 
@@ -106,48 +114,18 @@ class FiniteField:
         mul.setflags(write=False)
         return add, mul
 
-    def _build_inverses(self) -> np.ndarray:
-        inv = np.zeros(self.q, dtype=np.int16)
+    def _check_inverses(self) -> None:
         for i in range(1, self.q):
-            row = np.nonzero(self.mul_table[i] == 1)[0]
-            if row.size != 1:
+            if np.count_nonzero(self.mul_table[i] == 1) != 1:
                 raise AssertionError(f"element {i} of GF({self.q}) not invertible")
-            inv[i] = row[0]
-        inv.setflags(write=False)
-        return inv
 
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
 
-    def neg(self, a: int) -> int:
-        row = np.nonzero(self.add_table[a] == 0)[0]
-        return int(row[0])
-
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return int(self._inv[a])
-
-    def power(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def frobenius(self, a: int, e: int = 1) -> int:
-        """x -> x^(p^e)."""
-        return self.power(a, self.p**e)
 
     def element_mult_order(self, a: int) -> int:
         if a == 0:

@@ -4,8 +4,8 @@ Subsets are encoded as bit masks, point i -> bit 2^i.  `subset_orbit_sizes`
 is the one production kernel: every per-subset fact follows from the orbit
 sizes |S^G|, since |Stab(S)| = |G| / |S^G| and S is fixed by a Sylow
 p-subgroup iff p does not divide |S^G|.  `stabilizer_counts` and
-`mark_orbit_unions` are the definitional references the tests and the
-fixed-subset check compare against.
+`mark_orbit_unions` are definitional references that only the tests and the
+benchmark's tracer use; no production code calls them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,12 @@ def _mask_images(images: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def check_scan_bits(n: int) -> None:
+    """Raise ResourceLimit when the 2^n subsets of n points are too many to scan."""
+    if n > MAX_SCAN_BITS:
+        raise ResourceLimit(f"degree {n} exceeds MAX_SCAN_BITS = {MAX_SCAN_BITS}")
+
+
 def subset_orbit_sizes(gens: Iterable[np.ndarray], n: int) -> np.ndarray:
     """|S^G| for every subset mask S, G = <gens> given by image arrays.
 
@@ -37,8 +43,7 @@ def subset_orbit_sizes(gens: Iterable[np.ndarray], n: int) -> np.ndarray:
     every generator cycle, hence on orbits.  Each round costs O(2^n * #gens)
     and no group element is enumerated.
     """
-    if n > MAX_SCAN_BITS:
-        raise ResourceLimit(f"degree {n} exceeds MAX_SCAN_BITS = {MAX_SCAN_BITS}")
+    check_scan_bits(n)
     images = [_mask_images(g, n) for g in gens]
     label = np.arange(1 << n, dtype=np.int32)
     while True:

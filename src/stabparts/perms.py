@@ -379,7 +379,7 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
-        self.affine = affine  # optional AffineSpec provenance
+        self.affine = affine  # the AffineSpec of V . H; subgroups do not inherit it
         self._elements: Optional[np.ndarray] = None  # (|G|, n), lex-sorted rows
         self._chain: Optional[StabilizerChain] = None
 
@@ -444,7 +444,7 @@ class PermGroup:
         return self.degree == other.degree and all(g in other for g in self.generators)
 
     def subgroup(self, gens: Iterable[Permutation], name: Optional[str] = None) -> "PermGroup":
-        return PermGroup(self.degree, gens, name=name, affine=self.affine)
+        return PermGroup(self.degree, gens, name=name)
 
     def subgroup_from_rows(self, rows: np.ndarray, name: Optional[str] = None) -> "PermGroup":
         """The subgroup whose element table is rows, a subset of self.elements
@@ -457,7 +457,7 @@ class PermGroup:
         if rows.shape[0] == self.order:
             return self
         rows.setflags(write=False)
-        H = PermGroup(self.degree, (), name=name, affine=self.affine)
+        H = PermGroup(self.degree, (), name=name)
         keys = _row_keys(rows)
         generated = rows[:1]  # the identity
         while generated.shape[0] < rows.shape[0]:

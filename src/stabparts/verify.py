@@ -285,10 +285,14 @@ def property_suite(seed: int = 0) -> list[Check]:
 
 
 def _count_fixed_subsets(P, degree: int) -> int:
+    """The masks that every generator of P maps to themselves."""
     from . import kernels
 
-    counts = kernels.stabilizer_counts(P.elements, degree)
-    return int((counts == P.order).sum())
+    masks = np.arange(1 << degree, dtype=np.int32)
+    fixed = np.ones(1 << degree, dtype=bool)
+    for g in P.generators:
+        fixed &= kernels._mask_images(g.images, degree) == masks
+    return int(fixed.sum())
 
 
 def run_all(seed: int = 0, trials: int = 1000) -> list[Check]:

@@ -26,7 +26,10 @@ from stabparts import (
 )
 from stabparts.affine import AffineSpec, SemilinearGen, build_affine
 from stabparts.classify import ConstructorInapplicable, exhaustive_p_parts
-from stabparts.sylow import prime_divisors
+from stabparts.perms import ResourceLimit
+from stabparts.sylow import find_sylow, prime_divisors
+
+RECIPES = ("translation", "regular-vector", "regular-triple", "metacyclic", "orbit-union")
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +201,16 @@ class TestClassify:
                     assert 1 < part < report.group_p_part
 
 
+def test_scan_bound_checked_before_group_order():
+    # Sym(40): the bound answers before a stabilizer chain is built
+    cycle = "(" + " ".join(map(str, range(40))) + ")"
+    for scan in (census_histogram, is_p_concealed):
+        G = PermGroup.from_cycles(40, [cycle, "(0 1)"])
+        with pytest.raises(ResourceLimit, match="MAX_SCAN_BITS"):
+            scan(G, 2)
+        assert G._chain is None
+
+
 class TestCensusHistogram:
     def test_d6(self):
         assert census_histogram(named_group("D6"), 2) == {2: 8}
@@ -267,6 +280,34 @@ class TestTranslationWitness:
         assert delta.sorted_points() == [0, 1, 2]
         part = stab_p_part(G, delta, 3)
         assert 1 < part < p_part(G.order, 3)
+
+    def test_witness_is_an_additive_subgroup(self, zoo):
+        for name, G in zoo.items():
+            if G.affine is None or G.degree == G.affine.field.p:
+                continue
+            p = G.affine.field.p
+            delta = translation_witness(G, p).members
+            assert len(delta) == p, name
+            assert {G.affine.point_add(a, b) for a in delta for b in delta} == delta, name
+
+
+class TestSubgroupsAreNotAffine:
+    """Only build_affine and product_action give a group an affine spec: a
+    subgroup of V . H need not be V' . H' for any V'."""
+
+    def test_row_stabilizer_of_jxj(self, jxj):
+        R = setwise_stabilizer(jxj, PointSet(64, range(8)))  # Stab_J(0) x J
+        assert (R.order, R.is_transitive(), R.affine) == (3528, False, None)
+        report = classify_moderation(R, 2)
+        assert report.status == "MODERATE" and report.stage not in RECIPES
+        assert find_sylow(R, 2).affine is None
+
+    def test_sylow_3_of_agl23(self):
+        P = find_sylow(named_group("AGL(2,3)"), 3)
+        assert (P.order, P.affine) == (27, None)
+        report = classify_moderation(P, 3)
+        assert report.status == "MODERATE" and report.stage not in RECIPES
+        assert find_sylow(P, 3).affine is None
 
 
 class TestP2RegularWitness:

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabparts import build_field, named_group, parse_cycles, PermGroup
 from stabparts.affine import (
@@ -34,23 +36,34 @@ def test_field_axioms_exhaustive(p, k):
         assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
     for a in range(q):
         assert add[a, 0] == a and mul[a, 1] == a and mul[a, 0] == 0
-        assert add[a, F.neg(a)] == 0
+        assert add[a, F.neg_table[a]] == 0
     for a in range(1, q):
-        assert F.mul(a, F.inv(a)) == 1
+        assert np.count_nonzero(mul[a] == 1) == 1  # a has exactly one inverse
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
+def test_frobenius_table_is_pth_power(p, k):
+    F = build_field(p, k)
+    for a in range(F.q):
+        power = 1
+        for _ in range(p):
+            power = F.mul(power, a)
+        assert F.frobenius_table[a] == power
 
 
 @pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 1)])
 def test_frobenius_is_automorphism(p, k):
     F = build_field(p, k)
+    frob = F.frobenius_table
     for a, b in itertools.product(range(F.q), repeat=2):
-        assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
-        assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
+        assert frob[F.add(a, b)] == F.add(frob[a], frob[b])
+        assert frob[F.mul(a, b)] == F.mul(frob[a], frob[b])
 
 
 def test_frobenius_fixed_field_of_gf8():
     F = build_field(2, 3)
-    fixed = [x for x in range(8) if F.frobenius(x) == x]
-    assert fixed == [0, 1]
+    fixed = np.flatnonzero(F.frobenius_table == np.arange(8))
+    assert fixed.tolist() == [0, 1]
 
 
 def test_gf5_is_integers_mod_5():
@@ -79,41 +92,43 @@ class TestVectorIndexing:
     def test_base_q_last_significant(self):
         F = build_field(3, 1)
         spec = AffineSpec(F, 2)
-        assert spec.vec_to_point((1, 1)) == 4
+        assert tuple(spec.coords[4]) == (1, 1)
 
     def test_dim_one_identity(self):
         F = build_field(2, 3)
         spec = AffineSpec(F, 1)
-        assert spec.vec_to_point((5,)) == 5
+        assert spec.coords[:, 0].tolist() == list(range(8))
 
     def test_roundtrip_gf8_squared(self):
         F = build_field(2, 3)
         spec = AffineSpec(F, 2)
+        assert spec.coords.shape == (64, 2)
         for pt in range(64):
-            assert spec.vec_to_point(spec.point_to_vec(pt)) == pt
+            assert tuple(spec.coords[pt]) == divmod(pt, 8)
+            assert spec.point_add(pt, 0) == pt  # coordinates back to the point
 
     def test_zero_vector(self):
         F = build_field(5, 1)
         spec = AffineSpec(F, 3)
-        assert spec.vec_to_point((0, 0, 0)) == 0
+        assert tuple(spec.coords[0]) == (0, 0, 0)
 
     def test_out_of_range(self):
-        F = build_field(3, 1)
-        spec = AffineSpec(F, 2)
-        with pytest.raises(ValueError):
-            spec.vec_to_point((3, 0))
+        doc = {"affine": {"p": 3, "k": 1, "dim": 2,
+                          "generators": [{"matrix": [[1, 0], [0, 1]], "translation": [3, 0]}]}}
+        with pytest.raises(ValueError, match=r"^\$\.affine\.generators\[0\]\.translation: "):
+            group_from_document(doc)
 
 
 class TestBuildAffine:
     def test_d6_on_gf3(self):
         F = build_field(3, 1)
-        spec = AffineSpec(F, 1, (SemilinearGen(((F.neg(1),),), 0, ()),))
+        spec = AffineSpec(F, 1, (SemilinearGen(((int(F.neg_table[1]),),), 0, ()),))
         G = build_affine(spec)
         assert (G.degree, G.order) == (3, 6)
 
     def test_d10_on_gf5(self):
         F = build_field(5, 1)
-        spec = AffineSpec(F, 1, (SemilinearGen(((F.neg(1),),), 0, ()),))
+        spec = AffineSpec(F, 1, (SemilinearGen(((int(F.neg_table[1]),),), 0, ()),))
         G = build_affine(spec)
         assert (G.degree, G.order) == (5, 10)
 
@@ -139,6 +154,75 @@ class TestBuildAffine:
             ]
             assert len(translations) == G.degree, name
             assert sorted(int(r[0]) for r in translations) == list(range(G.degree))
+
+
+def _semilinear_images(F, dim, gen):
+    """The images of v -> (v^sigma) A + b, one point at a time: coordinates
+    by divmod, sigma = Frobenius^frob by repeated multiplication, and the row
+    vector times A by table lookups.  Raises the build's error when two
+    points share an image."""
+    mul, add = F.mul_table, F.add_table
+    images = []
+    for pt in range(F.q**dim):
+        v = []
+        for _ in range(dim):
+            pt, c = divmod(pt, F.q)
+            v.insert(0, c)
+        for _ in range(gen.frob):
+            for i, c in enumerate(v):
+                power = 1
+                for _ in range(F.p):
+                    power = int(mul[power, c])
+                v[i] = power
+        out = [0] * dim
+        for j in range(dim):
+            for i in range(dim):
+                out[j] = int(add[out[j], mul[v[i], gen.matrix[i][j]]])
+        if gen.translation:
+            out = [int(add[a, b]) for a, b in zip(out, gen.translation)]
+        point = 0
+        for c in out:
+            point = point * F.q + c
+        images.append(point)
+    if len(set(images)) != len(images):
+        raise ValueError("semilinear generator has a singular matrix")
+    return images
+
+
+@st.composite
+def semilinear_gens(draw, F):
+    dim = draw(st.integers(1, max(d for d in range(1, 11) if F.q**d <= 729)))
+    element = st.integers(0, F.q - 1)
+    row = st.tuples(*[element] * dim)
+    matrix = draw(st.tuples(*[row] * dim))
+    frob = draw(st.integers(0, 3 * F.k))
+    translation = draw(st.one_of(st.just(()), row))
+    return dim, SemilinearGen(matrix, frob, translation)
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gen_permutation_matches_per_point_definition(p, k, data):
+    F = build_field(p, k)
+    dim, gen = data.draw(semilinear_gens(F))
+    spec = AffineSpec(F, dim)
+    try:
+        expected = _semilinear_images(F, dim, gen)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            spec.gen_permutation(gen)
+    else:
+        assert spec.gen_permutation(gen).images.tolist() == expected
+
+
+def test_frobenius_exponent_taken_mod_k():
+    def doc(frob):
+        return {"affine": {"p": 2, "k": 3, "dim": 1,
+                           "generators": [{"matrix": [[1]], "frobenius": frob}]}}
+
+    images = [g.images.tolist() for g in group_from_document(doc(10**9)).generators]
+    assert images == [g.images.tolist() for g in group_from_document(doc(10**9 % 3)).generators]
 
 
 def _is_translation(spec, row):
@@ -247,4 +331,4 @@ def test_product_keeps_affine_structure():
     G = named_group("Product(D6,D6)")
     assert G.affine is not None
     assert G.affine.dim == 2
-    assert G.affine.vec_to_point((1, 1)) == 4
+    assert tuple(G.affine.coords[4]) == (1, 1)

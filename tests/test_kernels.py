@@ -111,6 +111,14 @@ class TestSubsetOrbitSizes:
         if not ok:
             assert counterexample.mask == int(np.flatnonzero(~covered)[0])
 
+    @settings(max_examples=40, deadline=None)
+    @given(small_groups(max_order=5040))
+    def test_fixed_subset_count_matches_element_scan(self, G):
+        from stabparts.verify import _count_fixed_subsets
+
+        fixed = stabilizer_counts(G.elements, G.degree) == G.order
+        assert _count_fixed_subsets(G, G.degree) == int(fixed.sum())
+
     def test_bound_checked_before_allocation(self):
         with pytest.raises(ResourceLimit, match="MAX_SCAN_BITS"):
             subset_orbit_sizes([np.arange(MAX_SCAN_BITS + 1)], MAX_SCAN_BITS + 1)

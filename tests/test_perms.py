@@ -161,7 +161,7 @@ class TestOrbits:
         from stabparts import build_field
 
         F = build_field(2, 3)
-        frob = Permutation([F.frobenius(x) for x in range(8)])
+        frob = Permutation(F.frobenius_table)
         assert sorted(len(o) for o in orbits([frob], 8)) == [1, 1, 3, 3]
 
     def test_identity_singletons(self):
