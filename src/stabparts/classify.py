@@ -12,7 +12,8 @@ orbit-stabilizer |Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is
 fixed by some Sylow p-subgroup iff p does not divide |S^G|.  That census is
 the oracle; the constructive strategy tries cheap explicit witness recipes
 first and falls back to it, so the two can never disagree.  Witness
-constructors are candidate generators only: the verifier (stab_p_part) is
+constructors are candidate generators only: the verifier (stab_p_part, which
+filters the element rows point by point over Delta or its complement) is
 the single source of truth.
 """
 
@@ -39,22 +40,32 @@ MAX_VECTOR_PAIRS = 1 << 22  # regular_orbit_pair scans at most this many (v, w)
 
 
 def _stabilizing_rows(G: PermGroup, delta: PointSet) -> np.ndarray:
-    """Mask of the rows of G.elements that fix delta setwise."""
+    """Increasing indices of the rows of G.elements that fix delta setwise.
+
+    A bijection fixes delta iff it maps delta, or equally its complement,
+    into itself: the smaller side filters the rows one point at a time.
+    """
     if delta.degree != G.degree:
         raise ValueError("point set degree mismatch")
-    mask = delta.bool_array()
-    # g stabilizes delta iff membership is constant along g: mask[g(x)] == mask[x]
-    return (mask[G.elements] == mask[np.newaxis, :]).all(axis=1)
+    side = delta.bool_array()
+    if 2 * side.sum() > G.degree:
+        side = ~side
+    E = G.elements
+    keep = np.arange(E.shape[0])
+    for x in np.flatnonzero(side):
+        keep = keep[side[E[keep, x]]]
+    return keep
 
 
 def setwise_stabilizer(G: PermGroup, delta: PointSet) -> PermGroup:
-    """{g in G : delta . g = delta}, by a vectorized scan of all elements."""
-    keep = _stabilizing_rows(G, delta)
-    return G.subgroup_from_rows(G.elements[keep], name="setwise stabilizer")
+    """{g in G : delta . g = delta}, built from its rows of G.elements."""
+    rows = G.elements[_stabilizing_rows(G, delta)]
+    return G.subgroup_from_rows(rows, name="setwise stabilizer")
 
 
 def stab_p_part(G: PermGroup, delta: PointSet, p: int) -> int:
-    return p_part(int(_stabilizing_rows(G, delta).sum()), p)
+    """|Stab_G(delta)|_p, from the number of stabilizing rows."""
+    return p_part(_stabilizing_rows(G, delta).size, p)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +155,8 @@ def _affine_spec(G: PermGroup) -> AffineSpec:
 
 def point_stabilizer_of_zero(G: PermGroup) -> PermGroup:
     """The linear part H = Stab_G(0) of an affine group."""
-    elems = G.elements
-    return G.subgroup_from_rows(elems[elems[:, 0] == 0], name="H")
+    rows = G.elements[_stabilizing_rows(G, PointSet(G.degree, [0]))]
+    return G.subgroup_from_rows(rows, name="H")
 
 
 def translation_witness(G: PermGroup, p: int) -> PointSet:

@@ -498,18 +498,18 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     """N_G(H) = {g in G : g^-1 H g = H}; requires H <= G, both enumerable.
 
     Each generator h of H is conjugated by all candidate rows g at once:
-    g^-1 h g maps x to g[h[g^-1[x]]].  Conjugating the generators into H
-    suffices, since |g^-1 H g| = |H|.
+    g^-1 h g maps g[y] to g[h[y]], one scatter per row.  Conjugating the
+    generators into H suffices, since |g^-1 H g| = |H|.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     E = G.elements
-    inverses = np.empty_like(E)
-    np.put_along_axis(inverses, E, np.arange(G.degree, dtype=np.int32)[np.newaxis, :], axis=1)
     hkeys = _row_keys(H.elements)
     keep = np.arange(E.shape[0])
     for h in H.generators:
-        conj = np.take_along_axis(E[keep], h.images[inverses[keep]], axis=1)
+        rows = E[keep]
+        conj = np.empty_like(rows)
+        np.put_along_axis(conj, rows, rows[:, h.images], axis=1)
         keep = keep[np.isin(_row_keys(conj), hkeys)]
     return G.subgroup_from_rows(E[keep], name="normalizer")
 

@@ -27,7 +27,6 @@ from .classify import (
 from .perms import Permutation, PointSet, orbits
 from .sylow import (
     all_sylows,
-    find_sylow,
     frattini_center_element,
     p_part,
     prime_divisors,
@@ -206,6 +205,8 @@ def property_suite(seed: int = 0) -> list[Check]:
     out = []
     rng = random.Random(seed)
     zoo = [(name, named_group(name)) for name in ZOO_NAMES]
+    # one Sylow search per (G, p) serves every check below
+    sylows = {(name, p): all_sylows(G, p) for name, G in zoo for p in prime_divisors(G.order)}
 
     # subsets fixed by a subgroup = 2^{#orbits}, exhaustively for n <= 12
     ok = True
@@ -213,7 +214,7 @@ def property_suite(seed: int = 0) -> list[Check]:
         if G.degree > 12:
             continue
         for p in prime_divisors(G.order):
-            P = find_sylow(G, p)
+            P = sylows[name, p].representative
             expected = subsets_fixed_count(P.generators, G.degree)
             actual = _count_fixed_subsets(P, G.degree)
             ok &= expected == actual
@@ -223,7 +224,7 @@ def property_suite(seed: int = 0) -> list[Check]:
     ok = True
     for name, G in zoo:
         for p in prime_divisors(G.order):
-            data = all_sylows(G, p)
+            data = sylows[name, p]
             ok &= data.count % p == 1
             ok &= G.order % data.count == 0
             ok &= data.representative.order == p_part(G.order, p)
@@ -254,7 +255,7 @@ def property_suite(seed: int = 0) -> list[Check]:
 
     for name, G in zoo:
         for p in prime_divisors(G.order):
-            P = find_sylow(G, p)
+            P = sylows[name, p].representative
             if is_elementary_abelian(P, p):
                 continue
             z = frattini_center_element(P, p)

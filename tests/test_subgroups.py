@@ -1,17 +1,20 @@
 """Subgroups built from their element rows, against per-element definitions."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stabparts import (
     PermGroup,
     PointSet,
+    named_group,
     normalizer,
     p_part,
     setwise_stabilizer,
     stab_p_part,
 )
+from stabparts.classify import _stabilizing_rows
 from stabparts.kernels import subset_orbit_sizes
 from stabparts.sylow import center
 from strategies import small_groups
@@ -29,13 +32,53 @@ def _subset(G, mask):
     return PointSet.from_mask(G.degree, mask % (1 << G.degree))
 
 
+def _full_row_scan(G, S):
+    """Indices of the rows g of G.elements with S[g[x]] == S[x] for every x."""
+    mask = S.bool_array()
+    return np.flatnonzero((mask[G.elements] == mask[np.newaxis, :]).all(axis=1))
+
+
+def _cells(cells):
+    """Points (a, b) of J x J, i.e. a * 8 + b."""
+    return PointSet(64, [a * 8 + b for a, b in cells])
+
+
+ROW = [(0, b) for b in range(8)]
+J_GEN = named_group("J").generators[0].images
+# subsets of J x J and the orders of their stabilizers
+JXJ_SUBSETS = {
+    "row": (ROW, 3528),
+    "row+point": (ROW + [(3, 5)], 63),
+    "graph": ([(x, int(J_GEN[x])) for x in range(8)], 168),
+    "row+column": (ROW + [(a, 5) for a in range(1, 8)], 441),
+    "3 rows": ([(a, b) for a in (0, 2, 6) for b in range(8)], 504),
+    "2 rows": ([(a, b) for a in (1, 4) for b in range(8)], 1008),
+    "empty": ([], 28224),
+    "all": ([(a, b) for a in range(8) for b in range(8)], 28224),
+    "5 rows": ([(a, b) for a in range(5) for b in range(8)], 504),  # the complement side
+}
+
+
+@pytest.mark.parametrize("label", list(JXJ_SUBSETS))
+def test_jxj_filter_is_the_full_row_scan(jxj, label):
+    cells, order = JXJ_SUBSETS[label]
+    S = _cells(cells)
+    rows = _stabilizing_rows(jxj, S)
+    assert np.array_equal(rows, _full_row_scan(jxj, S))
+    assert rows.size == order
+    assert (np.diff(rows) > 0).all()
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_groups(max_order=5040), masks)
 @example(PermGroup.trivial(3), 0b101)
+@example(named_group("AGL(1,5)"), 0b11011)  # |S| > n/2
+@example(named_group("AGL(1,5)"), 0b11111)  # S = Omega
 def test_setwise_stabilizer_is_the_row_filter(G, mask):
     S = _subset(G, mask)
     expected = _rows(G, lambda g: S.image(g) == S)
     assert np.array_equal(setwise_stabilizer(G, S).elements, expected)
+    assert (np.diff(_stabilizing_rows(G, S)) > 0).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,6 +95,8 @@ def test_few_generators_regenerate_the_rows(G, mask):
 @settings(max_examples=40, deadline=None)
 @given(small_groups(max_order=5040), masks)
 @example(PermGroup.trivial(3), 0b101)
+@example(named_group("AGL(1,5)"), 0b11011)
+@example(named_group("AGL(1,5)"), 0b11111)
 def test_stab_p_part_from_orbit_size(G, mask):
     S = _subset(G, mask)
     size = int(subset_orbit_sizes([g.images for g in G.generators], G.degree)[S.mask])
