@@ -58,8 +58,12 @@ class AffineSpec:
     def point_add(self, a: int, b: int) -> int:
         return int(self._points(self.field.add_table[self.coords[a], self.coords[b]]))
 
-    def point_neg(self, a: int) -> int:
-        return int(self._points(self.field.neg_table[self.coords[a]]))
+    @cached_property
+    def negation(self) -> np.ndarray:
+        """The point -v of every point v."""
+        neg = self._points(self.field.neg_table[self.coords])
+        neg.setflags(write=False)
+        return neg
 
     def gen_permutation(self, gen: SemilinearGen) -> Permutation:
         """The generator's action on all points at once, through field tables."""
@@ -308,8 +312,8 @@ def _group_at(doc, path: str) -> PermGroup:
     if kind == "product":
         factors = _get(doc, "product", path, lambda v: isinstance(v, list) and len(v) == 2,
                       "a list of two group documents")
-        left, right = (_group_at(f, f"{path}.product[{i}]") for i, f in enumerate(factors))
-        return product_action(left, right)
+        return product_action(_group_at(factors[0], f"{path}.product[0]"),
+                              _group_at(factors[1], f"{path}.product[1]"))
     aff = _get(doc, "affine", path, lambda v: isinstance(v, dict), "an object")
     name = _get(doc, "name", path, lambda v: isinstance(v, str), "a string", None)
     path += ".affine"

@@ -10,8 +10,11 @@ Every per-subset fact comes from one census primitive, the orbit sizes
 |S^G| of G on all 2^n subsets (kernels.subset_orbit_sizes): by
 orbit-stabilizer |Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is
 fixed by some Sylow p-subgroup iff p does not divide |S^G|.  That census is
-the oracle; the constructive strategy tries cheap explicit witness recipes
-first and falls back to it, so the two can never disagree.  Witness
+the oracle.  The constructive strategy first verifies one stream of
+candidates, the witness recipes' and then seeded random subsets, and ends
+in the census like the exhaustive one, so the two can never disagree.  The
+recipes after translation_witness read the linear part H = Stab_G(0),
+built once per classification, through its element table.  Witness
 constructors are candidate generators only: the verifier (stab_p_part, which
 filters the element rows point by point over Delta or its complement) is
 the single source of truth.
@@ -21,13 +24,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import kernels
 from .affine import AffineSpec
-from .perms import PermGroup, Permutation, PointSet, ResourceLimit
+from .perms import (PermGroup, Permutation, PointSet, ResourceLimit, commuting_rows,
+                    orbits)
 from .sylow import p_part
 
 SAMPLING_TRIALS = 200
@@ -94,19 +99,18 @@ def _orbit_sizes(G: PermGroup) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Regular orbits of the linear part
+# The linear part H, read from its element table
 # ---------------------------------------------------------------------------
+#
+# H.elements is lexicographically sorted, so row 0 is the identity and
+# H.elements[1:] are the non-identity rows.
 
 
 def regular_orbit_vector(H: PermGroup) -> Optional[int]:
     """Least point with trivial H-stabilizer, or None."""
-    elems = H.elements
-    nonid = elems[(elems != np.arange(H.degree, dtype=np.int32)).any(axis=1)]
-    if nonid.shape[0] == 0:
-        return 0 if H.degree > 0 else None
-    moved_everywhere = (nonid != np.arange(H.degree, dtype=np.int32)).all(axis=0)
-    # point x is regular iff no non-identity element fixes it
-    free = np.nonzero(moved_everywhere)[0]
+    # point x is regular iff no non-identity row fixes it
+    moved = (H.elements[1:] != np.arange(H.degree)).all(axis=0)
+    free = np.flatnonzero(moved)
     return int(free[0]) if free.size else None
 
 
@@ -114,28 +118,35 @@ def regular_orbit_pair(H: PermGroup) -> Optional[tuple[int, int]]:
     """Least pair (v, w) of nonzero vectors with trivial joint H-stabilizer
     on V + V, or None.
 
-    Per-element fixed-point sets are precomputed, so the scan costs |H| bit
-    operations per candidate v rather than a fresh orbit computation.
+    The non-identity rows' fixed-point sets are computed once, so the scan
+    costs |H| bit operations per candidate v rather than an orbit each.
     """
     n = H.degree
     if n * n > MAX_VECTOR_PAIRS:
         raise ResourceLimit(f"{n * n} vector pairs exceed bound {MAX_VECTOR_PAIRS}")
-    elems = H.elements
-    ar = np.arange(n, dtype=np.int32)
-    nonid = elems[(elems != ar).any(axis=1)]
-    if nonid.shape[0] == 0:
-        v = 1 if n > 1 else 0
-        return (v, v)
-    fixes = nonid == ar  # (m, n) bool: element i fixes point x
+    fixes = H.elements[1:] == np.arange(n)  # (|H| - 1, n): row i fixes x
     for v in range(1, n):
-        fixing_v = fixes[fixes[:, v]]  # rows of elements fixing v
-        if fixing_v.shape[0] == 0:
-            return (v, 1)
-        ok = ~fixing_v.any(axis=0)
-        for w in range(1, n):
-            if ok[w]:
-                return (v, w)
+        free = np.flatnonzero(~fixes[fixes[:, v]].any(axis=0)[1:])
+        if free.size:
+            return (v, int(free[0]) + 1)
     return None
+
+
+def _order_p_rows(E: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the rows g of a sorted element table with g^p = 1 != g; for
+    p prime these are the elements of order p."""
+    power = E
+    for _ in range(p - 1):
+        power = np.take_along_axis(E, power, axis=1)
+    mask = (power == np.arange(E.shape[1])).all(axis=1)
+    mask[0] = False  # row 0 is the identity
+    return mask
+
+
+def _least_element_of_order(H: PermGroup, p: int) -> Optional[Permutation]:
+    """The least element of prime order p of H, or None."""
+    rows = np.flatnonzero(_order_p_rows(H.elements, p))
+    return Permutation._trusted(H.elements[rows[0]]) if rows.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -175,57 +186,54 @@ def translation_witness(G: PermGroup, p: int) -> PointSet:
     return PointSet(n, range(p))
 
 
-def regular_vector_witness(G: PermGroup, p: int) -> PointSet:
+def regular_vector_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
     """Delta = {0, v} with v in a regular H-orbit (the direct-product recipe)."""
-    _affine_spec(G)
-    H = point_stabilizer_of_zero(G)
     v = regular_orbit_vector(H)
-    if v is None or v == 0:
+    if not v:
         raise ConstructorInapplicable("no regular vector on V")
     return PointSet(G.degree, [0, v])
 
 
-def p2_regular_witness(G: PermGroup, p: int = 2) -> PointSet:
+def p2_regular_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
     """Gamma = {0, v, vt}: v regular for H, t an involution in H."""
     if p != 2:
         raise ConstructorInapplicable("recipe is specific to p = 2")
-    _affine_spec(G)
-    H = point_stabilizer_of_zero(G)
     v = regular_orbit_vector(H)
-    if v is None or v == 0:
+    if not v:
         raise ConstructorInapplicable("no regular vector on V")
     t = _least_element_of_order(H, 2)
     if t is None:
         raise ConstructorInapplicable("H has no involution")
-    vt = int(t.images[v])
-    return PointSet(G.degree, [0, v, vt])
+    return PointSet(G.degree, [0, v, int(t.images[v])])
 
 
-def metacyclic_witness(G: PermGroup, p: int = 2) -> PointSet:
-    """Gamma = {0, w, v, -v}: u a noncentral involution of H, wu = w, vu = -v."""
+def metacyclic_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
+    """Gamma = {0, w, v, -v}: u a noncentral involution of H, wu = w, vu = -v.
+
+    u is the least such row of H's table, w and v the least such points.
+    """
     if p != 2:
         raise ConstructorInapplicable("recipe is specific to p = 2")
-    spec = _affine_spec(G)
-    H = point_stabilizer_of_zero(G)
-    for u in H.iter_elements():
-        if u.order() != 2:
-            continue
-        if all((u * h) == (h * u) for h in H.generators):
-            continue  # central
-        w = next((x for x in range(1, G.degree) if int(u.images[x]) == x), None)
-        v = next(
-            (x for x in range(1, G.degree)
-             if int(u.images[x]) == spec.point_neg(x) and spec.point_neg(x) != x),
-            None,
+    neg = _affine_spec(G).negation
+    E = H.elements
+    central = np.ones(E.shape[0], dtype=bool)
+    for h in H.generators:
+        central &= commuting_rows(E, h)
+    points = np.arange(G.degree)
+    fixed = (E == points)[:, 1:]
+    negated = ((E == neg) & (neg != points))[:, 1:]
+    rows = np.flatnonzero(_order_p_rows(E, 2) & ~central
+                          & fixed.any(axis=1) & negated.any(axis=1))
+    if rows.size == 0:
+        raise ConstructorInapplicable(
+            "no noncentral involution with +1 and -1 eigenvectors"
         )
-        if w is not None and v is not None:
-            return PointSet(G.degree, [0, w, v, spec.point_neg(v)])
-    raise ConstructorInapplicable(
-        "no noncentral involution with +1 and -1 eigenvectors"
-    )
+    w = int(np.argmax(fixed[rows[0]])) + 1
+    v = int(np.argmax(negated[rows[0]])) + 1
+    return PointSet(G.degree, [0, w, v, int(neg[v])])
 
 
-def orbit_witness_odd_p(G: PermGroup, p: int) -> list[PointSet]:
+def orbit_witness_odd_p(G: PermGroup, p: int, H: PermGroup) -> list[PointSet]:
     """Candidates from the odd-p argument: orbit unions of a regular pair.
 
     Returns {0} u O1 when the two t-orbits coincide, else both
@@ -234,7 +242,6 @@ def orbit_witness_odd_p(G: PermGroup, p: int) -> list[PointSet]:
     if p == 2:
         raise ConstructorInapplicable("recipe requires odd p")
     spec = _affine_spec(G)
-    H = point_stabilizer_of_zero(G)
     t = _least_element_of_order(H, p)
     if t is None:
         raise ConstructorInapplicable("H has no element of order p")
@@ -242,42 +249,23 @@ def orbit_witness_odd_p(G: PermGroup, p: int) -> list[PointSet]:
     if pair is None:
         raise ConstructorInapplicable("no regular pair on V + V")
     v, w = pair
-    orbit_v = _cyclic_orbit(t, v)
-    orbit_w = _cyclic_orbit(t, w)
-    if len(orbit_v) == 1 and len(orbit_w) == 1:
+    orbit = {x: set(orb) for orb in orbits([t], G.degree) for x in orb}
+    if len(orbit[v]) == 1 and len(orbit[w]) == 1:
         raise ConstructorInapplicable("t centralizes both regular coordinates")
-    if len(orbit_v) == 1:
+    if len(orbit[v]) == 1:
         v, w = w, v
-        orbit_v, orbit_w = orbit_w, orbit_v
-    if len(orbit_w) == 1:
+    if len(orbit[w]) == 1:
         w = spec.point_add(v, w)  # (v, v + w) is still in a regular orbit
-        orbit_w = _cyclic_orbit(t, w)
-    if orbit_v == orbit_w:
-        return [PointSet(G.degree, {0} | orbit_v)]
+    if orbit[v] == orbit[w]:
+        return [PointSet(G.degree, {0} | orbit[v])]
     return [
-        PointSet(G.degree, {0} | orbit_v | orbit_w),
-        PointSet(G.degree, {0, w} | orbit_v),
+        PointSet(G.degree, {0} | orbit[v] | orbit[w]),
+        PointSet(G.degree, {0, w} | orbit[v]),
     ]
 
 
-def _cyclic_orbit(t: Permutation, x: int) -> set[int]:
-    orb = {x}
-    y = int(t.images[x])
-    while y != x:
-        orb.add(y)
-        y = int(t.images[y])
-    return orb
-
-
-def _least_element_of_order(G: PermGroup, k: int) -> Optional[Permutation]:
-    for g in G.iter_elements():
-        if g.order() == k:
-            return g
-    return None
-
-
 # ---------------------------------------------------------------------------
-# Classification
+# Classification: one stream of candidates, then the census
 # ---------------------------------------------------------------------------
 
 
@@ -297,20 +285,8 @@ class ModerationReport:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "degree": self.degree,
-            "group_order": self.group_order,
-            "group_p_part": self.group_p_part,
-            "status": self.status,
-            "witness": self.witness.sorted_points() if self.witness else None,
-            "stab_p_part": self.stab_p_part,
-            "concealed": self.concealed,
-            "strategy": self.strategy,
-            "stage": self.stage,
-            "exhaustive": self.exhaustive,
-            "note": self.note,
-        }
+        witness = self.witness.sorted_points() if self.witness else None
+        return dict(vars(self), witness=witness)
 
 
 def exhaustive_p_parts(G: PermGroup, p: int) -> np.ndarray:
@@ -341,26 +317,51 @@ def _verify_witness(G: PermGroup, delta: PointSet, p: int,
 
 
 def constructive_candidates(G: PermGroup, p: int) -> Iterator[tuple[str, PointSet]]:
-    recipes = [
-        ("translation", lambda: [translation_witness(G, p)]),
-        ("regular-vector", lambda: [regular_vector_witness(G, p)]),
-    ]
+    """The recipes' candidates as (stage, Delta), in recipe order.
+
+    H = Stab_G(0) is built once, and only when the translation candidate
+    has not decided and G has an affine spec; the other recipes read it.
+    A recipe whose preconditions fail, or that hits a ResourceLimit, gives
+    no candidate.
+    """
+    yield from _recipe("translation", lambda: [translation_witness(G, p)])
+    if G.affine is None:
+        return
+    try:
+        H = point_stabilizer_of_zero(G)
+    except ResourceLimit:
+        return
+    yield from _recipe("regular-vector", lambda: [regular_vector_witness(G, p, H)])
     if p == 2:
-        recipes.append(("regular-triple", lambda: [p2_regular_witness(G, p)]))
-        recipes.append(("metacyclic", lambda: [metacyclic_witness(G, p)]))
+        yield from _recipe("regular-triple", lambda: [p2_regular_witness(G, p, H)])
+        yield from _recipe("metacyclic", lambda: [metacyclic_witness(G, p, H)])
     else:
-        recipes.append(("orbit-union", lambda: orbit_witness_odd_p(G, p)))
-    for name, recipe in recipes:
-        try:
-            for delta in recipe():
-                yield name, delta
-        except (ConstructorInapplicable, ResourceLimit):
-            continue
+        yield from _recipe("orbit-union", lambda: orbit_witness_odd_p(G, p, H))
+
+
+def _recipe(stage: str, make) -> list[tuple[str, PointSet]]:
+    try:
+        return [(stage, delta) for delta in make()]
+    except (ConstructorInapplicable, ResourceLimit):
+        return []
+
+
+def _sampled(n: int, seed: int) -> Iterator[tuple[str, PointSet]]:
+    """SAMPLING_TRIALS random proper nonempty subsets, drawn from the seed."""
+    rng = random.Random(seed)
+    for _ in range(SAMPLING_TRIALS):
+        size = rng.randint(1, n - 1)
+        yield "sampling", PointSet(n, rng.sample(range(n), size))
 
 
 def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
                         seed: int = 0) -> ModerationReport:
-    """Decide MODERATE vs EXTREME; the exhaustive strategy is the oracle."""
+    """Decide MODERATE vs EXTREME; the exhaustive strategy is the oracle.
+
+    The constructive strategy verifies the recipes' candidates, then
+    sampled subsets; both strategies end in the census, so the verdict is
+    exact.
+    """
     if strategy not in ("exhaustive", "constructive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     order = G.order
@@ -377,39 +378,31 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
         report.concealed = _concealed_flag(G, p)
         return report
 
+    candidates = ()
     if strategy == "constructive":
-        for stage, delta in constructive_candidates(G, p):
-            part = _verify_witness(G, delta, p, gp)
-            if part is not None:
-                report.status = "MODERATE"
-                report.witness = delta
-                report.stab_p_part = part
-                report.stage = stage
-                return report
-        rng = random.Random(seed)
-        for _ in range(SAMPLING_TRIALS):
-            size = rng.randint(1, n - 1)
-            delta = PointSet(n, rng.sample(range(n), size))
-            part = _verify_witness(G, delta, p, gp)
-            if part is not None:
-                report.status = "MODERATE"
-                report.witness = delta
-                report.stab_p_part = part
-                report.stage = "sampling"
-                return report
-        # fall through to the exhaustive oracle so the verdict is exact
+        candidates = chain(constructive_candidates(G, p), _sampled(n, seed))
+    for stage, delta in candidates:
+        part = _verify_witness(G, delta, p, gp)
+        if part is not None:
+            return _moderate(report, stage, delta, part)
 
     parts = exhaustive_p_parts(G, p)
-    moderate = np.flatnonzero((parts > 1) & (parts < gp))
     report.exhaustive = True
+    moderate = np.flatnonzero((parts > 1) & (parts < gp))
     if moderate.size:
         least = int(moderate[0])
-        report.status = "MODERATE"
-        report.witness = PointSet.from_mask(n, least)
-        report.stab_p_part = int(parts[least])
-        report.stage = "exhaustive"
-    else:
-        report.concealed = bool((parts == gp).all())
+        return _moderate(report, "exhaustive", PointSet.from_mask(n, least),
+                         int(parts[least]))
+    report.concealed = bool((parts == gp).all())
+    return report
+
+
+def _moderate(report: ModerationReport, stage: str, witness: PointSet,
+              part: int) -> ModerationReport:
+    report.status = "MODERATE"
+    report.stage = stage
+    report.witness = witness
+    report.stab_p_part = part
     return report
 
 

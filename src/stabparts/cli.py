@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from typing import Callable
 
 import click
 
@@ -21,7 +22,13 @@ from .census import (
     randomized_witness_from_z,
     sylow_cover_bound,
 )
-from .classify import census_histogram, classify_moderation, is_p_concealed
+from .classify import (
+    ModerationReport,
+    census_histogram,
+    classify_moderation,
+    is_p_concealed,
+    stab_p_part,
+)
 from .perms import PermGroup, ResourceLimit, is_primitive
 from .sylow import all_sylows
 from .verify import run_all
@@ -34,8 +41,11 @@ EXIT_ERROR = 2
 
 def _load_group(spec_file: str) -> tuple[dict, PermGroup]:
     with open(spec_file) as fh:
-        doc = json.load(fh)
-    return doc, group_from_document(doc)
+        try:
+            doc = json.load(fh)
+            return doc, group_from_document(doc)
+        except RecursionError:
+            raise ValueError("group document is nested too deeply") from None
 
 
 def _summary(G: PermGroup) -> dict:
@@ -48,8 +58,26 @@ def _summary(G: PermGroup) -> dict:
     }
 
 
-def _emit(doc: dict, G: PermGroup, payload: dict, started: float,
-          note: str = "") -> None:
+def _fail(message: str, code: int = EXIT_ERROR) -> None:
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(code)
+
+
+def _run(spec_file: str, answer: Callable[[PermGroup], tuple[dict, str, int]]) -> None:
+    """Load the group, answer, print the JSON report and the note, and exit.
+
+    answer(G) gives the payload, the note and the exit code.  An error
+    exits with a one-line message: 11 when the criterion is inapplicable,
+    2 otherwise.
+    """
+    started = time.time()
+    try:
+        doc, G = _load_group(spec_file)
+        payload, note, code = answer(G)
+    except CriterionInapplicable as exc:  # a ValueError, so it comes first
+        _fail(str(exc), EXIT_INAPPLICABLE)
+    except (ValueError, ResourceLimit, OSError) as exc:
+        _fail(str(exc))
     report = {
         "tool": "stabparts",
         "version": __version__,
@@ -60,13 +88,13 @@ def _emit(doc: dict, G: PermGroup, payload: dict, started: float,
     }
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
-    if note:
-        print(note, file=sys.stderr)
-
-
-def _fail(message: str, code: int = EXIT_ERROR) -> None:
-    print(f"error: {message}", file=sys.stderr)
+    print(note, file=sys.stderr)
     sys.exit(code)
+
+
+def _moderation(report: ModerationReport) -> tuple[dict, str, int]:
+    code = EXIT_MODERATE if report.status == "MODERATE" else EXIT_EXTREME
+    return report.to_json(), f"{report.status} (stage: {report.stage})", code
 
 
 @click.group()
@@ -88,15 +116,7 @@ _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
 @_seed_opt
 def classify(spec_file, p, strategy, seed):
     """Classify (G, Omega) as p-MODERATE or p-EXTREME."""
-    started = time.time()
-    try:
-        doc, G = _load_group(spec_file)
-        report = classify_moderation(G, p, strategy, seed=seed)
-    except (ValueError, ResourceLimit, OSError) as exc:
-        _fail(str(exc))
-    _emit(doc, G, report.to_json(), started,
-          note=f"{report.status} (stage: {report.stage})")
-    sys.exit(EXIT_MODERATE if report.status == "MODERATE" else EXIT_EXTREME)
+    _run(spec_file, lambda G: _moderation(classify_moderation(G, p, strategy, seed=seed)))
 
 
 @main.command()
@@ -104,18 +124,13 @@ def classify(spec_file, p, strategy, seed):
 @_p_opt
 def concealed(spec_file, p):
     """Decide whether every subset is stabilized by some Sylow p-subgroup."""
-    started = time.time()
-    try:
-        doc, G = _load_group(spec_file)
-        ok, counterexample = is_p_concealed(G, p)
-    except (ValueError, ResourceLimit, OSError) as exc:
-        _fail(str(exc))
-    payload = {
-        "p": p,
-        "concealed": ok,
-        "counterexample": counterexample.sorted_points() if counterexample else None,
-    }
-    _emit(doc, G, payload, started, note=f"concealed: {ok}")
+    def answer(G):
+        ok, least = is_p_concealed(G, p)
+        payload = {"p": p, "concealed": ok,
+                   "counterexample": least.sorted_points() if least else None}
+        return payload, f"concealed: {ok}", EXIT_MODERATE
+
+    _run(spec_file, answer)
 
 
 @main.command()
@@ -123,14 +138,12 @@ def concealed(spec_file, p):
 @_p_opt
 def census(spec_file, p):
     """Histogram of stabilizer p-parts over all 2^n subsets."""
-    started = time.time()
-    try:
-        doc, G = _load_group(spec_file)
+    def answer(G):
         hist = census_histogram(G, p)
-    except (ValueError, ResourceLimit, OSError) as exc:
-        _fail(str(exc))
-    payload = {"p": p, "histogram": {str(k): v for k, v in sorted(hist.items())}}
-    _emit(doc, G, payload, started, note=f"{sum(hist.values())} subsets")
+        payload = {"p": p, "histogram": {str(k): v for k, v in sorted(hist.items())}}
+        return payload, f"{sum(hist.values())} subsets", EXIT_MODERATE
+
+    _run(spec_file, answer)
 
 
 @main.command()
@@ -138,17 +151,14 @@ def census(spec_file, p):
 @_p_opt
 def sylow(spec_file, p):
     """Sylow p-subgroup data: order, count, normalizer index."""
-    started = time.time()
-    try:
-        doc, G = _load_group(spec_file)
+    def answer(G):
         data = all_sylows(G, p)
-        bound = sylow_cover_bound(G, p, sylow=data)
-    except (ValueError, ResourceLimit, OSError) as exc:
-        _fail(str(exc))
-    payload = data.to_json()
-    payload["cover_bound"] = bound.to_json()
-    _emit(doc, G, payload, started,
-          note=f"n_{p} = {data.count}, |P| = {data.representative.order}")
+        payload = data.to_json()
+        payload["cover_bound"] = sylow_cover_bound(G, p, sylow=data).to_json()
+        note = f"n_{p} = {data.count}, |P| = {data.representative.order}"
+        return payload, note, EXIT_MODERATE
+
+    _run(spec_file, answer)
 
 
 @main.command()
@@ -158,27 +168,18 @@ def sylow(spec_file, p):
 @_seed_opt
 def prop31(spec_file, p, trials, seed):
     """Counting-criterion certificate, plus a randomized witness when it holds."""
-    started = time.time()
-    try:
-        doc, G = _load_group(spec_file)
-    except (ValueError, ResourceLimit, OSError) as exc:
-        _fail(str(exc))
-    try:
+    def answer(G):
         cert = prop_certificate(G, p)
-    except CriterionInapplicable as exc:
-        _fail(str(exc), EXIT_INAPPLICABLE)
-    except (ValueError, ResourceLimit) as exc:
-        _fail(str(exc))
-    payload = cert.to_json()
-    if cert.verdict:
-        delta = randomized_witness_from_z(G, p, cert.z, trials=trials, seed=seed)
-        if delta is None:
-            _fail(f"criterion holds but no witness found in {trials} trials")
-        from .classify import stab_p_part
+        payload = cert.to_json()
+        if cert.verdict:
+            delta = randomized_witness_from_z(G, p, cert.z, trials=trials, seed=seed)
+            if delta is None:
+                _fail(f"criterion holds but no witness found in {trials} trials")
+            payload["witness"] = delta.sorted_points()
+            payload["witness_p_part"] = stab_p_part(G, delta, p)
+        return payload, f"verdict: {cert.verdict}", EXIT_MODERATE
 
-        payload["witness"] = delta.sorted_points()
-        payload["witness_p_part"] = stab_p_part(G, delta, p)
-    _emit(doc, G, payload, started, note=f"verdict: {cert.verdict}")
+    _run(spec_file, answer)
 
 
 @main.command()
@@ -187,15 +188,7 @@ def prop31(spec_file, p, trials, seed):
 @_seed_opt
 def witness(spec_file, p, seed):
     """Search for an explicit moderation witness (constructive strategy)."""
-    started = time.time()
-    try:
-        doc, G = _load_group(spec_file)
-        report = classify_moderation(G, p, "constructive", seed=seed)
-    except (ValueError, ResourceLimit, OSError) as exc:
-        _fail(str(exc))
-    _emit(doc, G, report.to_json(), started,
-          note=f"{report.status} (stage: {report.stage})")
-    sys.exit(EXIT_MODERATE if report.status == "MODERATE" else EXIT_EXTREME)
+    _run(spec_file, lambda G: _moderation(classify_moderation(G, p, "constructive", seed=seed)))
 
 
 @main.command("verify-paper")

@@ -8,6 +8,7 @@ to the right-action convention.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -124,16 +125,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 
 
 def element_order(g: Permutation) -> int:
-    order = 1
-    for c in g.cycles():
-        order = order * len(c) // _gcd(order, len(c))
-    return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return math.lcm(*map(len, g.cycles()))
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

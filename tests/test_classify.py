@@ -25,11 +25,56 @@ from stabparts import (
     translation_witness,
 )
 from stabparts.affine import AffineSpec, SemilinearGen, build_affine
-from stabparts.classify import ConstructorInapplicable, exhaustive_p_parts
+from stabparts import classify
+from stabparts.classify import (
+    ConstructorInapplicable,
+    _least_element_of_order,
+    _order_p_rows,
+    constructive_candidates,
+    exhaustive_p_parts,
+)
 from stabparts.perms import ResourceLimit
 from stabparts.sylow import find_sylow, prime_divisors
 
 RECIPES = ("translation", "regular-vector", "regular-triple", "metacyclic", "orbit-union")
+
+# The stage that decides classify_moderation (constructive, seed 0) for every
+# case (G, p) of these catalog groups with p^2 | |G|.  The groups that reach
+# sampling are not built as V . H: from cycles, or as a product over two
+# different fields.
+PINNED_STAGES = {
+    ("AGL(1,4)", 2): "translation",
+    ("AGL(1,5)", 2): "regular-vector",
+    ("AGL(1,8)", 2): "translation",
+    ("AGL(1,9)", 2): "regular-vector",
+    ("AGL(1,9)", 3): "translation",
+    ("AGL(1,13)", 2): "regular-vector",
+    ("AGL(1,16)", 2): "translation",
+    ("AGL(1,17)", 2): "regular-vector",
+    ("AGL(1,19)", 3): "orbit-union",
+    ("AGL(1,25)", 2): "regular-vector",
+    ("AGL(1,25)", 5): "translation",
+    ("AGL(1,27)", 3): "translation",
+    ("AGL(1,32)", 2): "translation",
+    ("J", 2): "translation",
+    ("AGammaL(1,9)", 2): "metacyclic",
+    ("AGammaL(1,9)", 3): "translation",
+    ("AGL(2,3)", 2): "metacyclic",
+    ("AGL(2,3)", 3): "translation",
+    ("Product(D6,D6)", 2): "regular-vector",
+    ("Product(D6,D6)", 3): "translation",
+    ("Product(D10,D10)", 2): "regular-vector",
+    ("Product(D10,D10)", 5): "translation",
+    ("Product(J,J)", 2): "translation",
+    ("Product(J,J)", 3): "orbit-union",
+    ("Product(J,J)", 7): "orbit-union",
+    ("Sym(4)", 2): "sampling",
+    ("C4", 2): "sampling",
+    ("C8", 2): "sampling",
+    ("C9", 3): "sampling",
+    ("Product(D6,D10)", 2): "sampling",
+    ("Product(AGL(1,5),D6)", 2): "sampling",
+}
 
 
 @pytest.fixture(scope="module")
@@ -313,54 +358,57 @@ class TestSubgroupsAreNotAffine:
 class TestP2RegularWitness:
     def test_triple_shape(self):
         G = named_group("Product(D6,D6)")
-        gamma = p2_regular_witness(G, 2)
+        gamma = p2_regular_witness(G, 2, point_stabilizer_of_zero(G))
         assert len(gamma) == 3
         assert 0 in gamma
 
     def test_verifies_on_d6xd6(self):
         G = named_group("Product(D6,D6)")
-        gamma = p2_regular_witness(G, 2)
+        gamma = p2_regular_witness(G, 2, point_stabilizer_of_zero(G))
         assert stab_p_part(G, gamma, 2) == 2
 
     def test_vt_differs_from_v(self):
         # regularity forces vt != v for any involution t
         G = named_group("Product(D6,D6)")
-        gamma = p2_regular_witness(G, 2)
+        gamma = p2_regular_witness(G, 2, point_stabilizer_of_zero(G))
         assert len(gamma.members) == 3
 
     def test_no_regular_vector(self):
         with pytest.raises(ConstructorInapplicable):
-            p2_regular_witness(named_group("J"), 2)
+            G = named_group("J")
+            p2_regular_witness(G, 2, point_stabilizer_of_zero(G))
 
 
 class TestMetacyclicWitness:
     def test_shape(self, metacyclic_group):
-        gamma = metacyclic_witness(metacyclic_group, 2)
+        G = metacyclic_group
+        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G))
         assert len(gamma) == 4
         assert 0 in gamma
 
     def test_stab_two_part_exactly_two(self, metacyclic_group):
         G = metacyclic_group
-        gamma = metacyclic_witness(G, 2)
+        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G))
         stab = setwise_stabilizer(G, gamma)
         assert p_part(stab.order, 2) == 2
         assert p_part(G.order, 2) == 4
 
     def test_u_stabilizes_by_construction(self, metacyclic_group):
         G = metacyclic_group
-        gamma = metacyclic_witness(G, 2)
+        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G))
         stab = setwise_stabilizer(G, gamma)
         assert any(g.order() == 2 for g in stab.iter_elements())
 
     def test_inapplicable_without_eigenvectors(self):
         with pytest.raises(ConstructorInapplicable):
-            metacyclic_witness(named_group("D6"), 2)
+            G = named_group("D6")
+            metacyclic_witness(G, 2, point_stabilizer_of_zero(G))
 
 
 class TestOrbitWitnessOddP:
     def test_agl_1_19_at_3(self):
         G = named_group("AGL(1,19)")
-        candidates = orbit_witness_odd_p(G, 3)
+        candidates = orbit_witness_odd_p(G, 3, point_stabilizer_of_zero(G))
         sizes = [len(c) for c in candidates]
         # p+1 when the orbits coincide, else 2p+1 and the fallback
         assert sizes in ([4], [7, 5])
@@ -369,11 +417,118 @@ class TestOrbitWitnessOddP:
 
     def test_requires_odd_p(self):
         with pytest.raises(ConstructorInapplicable):
-            orbit_witness_odd_p(named_group("Product(D6,D6)"), 2)
+            G = named_group("Product(D6,D6)")
+            orbit_witness_odd_p(G, 2, point_stabilizer_of_zero(G))
 
     def test_no_order_p_element(self):
         with pytest.raises(ConstructorInapplicable):
-            orbit_witness_odd_p(named_group("AGammaL(1,9)"), 7)
+            G = named_group("AGammaL(1,9)")
+            orbit_witness_odd_p(G, 7, point_stabilizer_of_zero(G))
+
+
+class TestCandidateStream:
+    @pytest.mark.parametrize("name, p", list(PINNED_STAGES))
+    def test_deciding_stage(self, name, p):
+        G = named_group(name)
+        report = classify_moderation(G, p)
+        assert (report.status, report.stage) == ("MODERATE", PINNED_STAGES[name, p])
+        assert stab_p_part(G, report.witness, p) == report.stab_p_part
+        assert 1 < report.stab_p_part < report.group_p_part
+
+    def test_every_case_is_pinned(self):
+        for name in {name for name, _ in PINNED_STAGES}:
+            order = named_group(name).order
+            squared = {p for p in prime_divisors(order) if order % (p * p) == 0}
+            assert squared == {p for n, p in PINNED_STAGES if n == name}, name
+
+    @pytest.mark.parametrize("name", ["AGammaL(1,9)", "AGL(2,3)", "AGL(1,19)",
+                                      "Product(D6,D6)", "Sym(4)"])
+    def test_h_built_at_most_once(self, monkeypatch, name):
+        G = named_group(name)
+        built = []
+        build = classify.point_stabilizer_of_zero
+        monkeypatch.setattr(classify, "point_stabilizer_of_zero",
+                            lambda G: built.append(G) or build(G))
+
+        def walked(self):
+            raise AssertionError("a recipe walked the elements one by one")
+
+        monkeypatch.setattr(PermGroup, "iter_elements", walked)
+        for p in prime_divisors(G.order):
+            built.clear()
+            report = classify_moderation(G, p)
+            if G.order % (p * p):
+                assert built == []  # |G|_p = p decides by arithmetic
+                continue
+            # H is built only after translation fails, and only for V . H
+            expected = int(G.affine is not None and report.stage != "translation")
+            assert len(built) == expected, (p, report.stage)
+
+    def test_resource_limit_on_h_skips_its_recipes(self, monkeypatch):
+        def refuse(G):
+            raise ResourceLimit("refused")
+
+        monkeypatch.setattr(classify, "point_stabilizer_of_zero", refuse)
+        G = named_group("AGL(2,3)")
+        assert list(constructive_candidates(G, 2)) == []  # translation needs p = 3
+        report = classify_moderation(G, 2)
+        assert report.status == "MODERATE" and report.stage not in RECIPES
+
+
+def _least_of_order_by_loop(H, p):
+    return next((g for g in H.iter_elements() if g.order() == p), None)
+
+
+def _metacyclic_by_loop(G, H):
+    """The least noncentral involution u with a fixed and a negated nonzero
+    point, walked one element and one point at a time."""
+    def neg(x):
+        return next(y for y in range(G.degree) if G.affine.point_add(x, y) == 0)
+
+    for u in H.iter_elements():
+        if u.order() != 2 or all(u * h == h * u for h in H.generators):
+            continue
+        w = next((x for x in range(1, G.degree) if u(x) == x), None)
+        v = next((x for x in range(1, G.degree) if u(x) == neg(x) != x), None)
+        if w is not None and v is not None:
+            return sorted({0, w, v, neg(v)})
+    return None
+
+
+class TestTablesMatchElementLoops:
+    AFFINE = ("D10", "AGL(1,5)", "AGL(1,9)", "AGL(1,19)", "J", "AGammaL(1,9)",
+              "AGL(2,3)", "Product(D6,D6)", "Product(D10,D10)")
+
+    @pytest.mark.parametrize("name", AFFINE)
+    def test_order_p_mask(self, name):
+        G = named_group(name)
+        H = point_stabilizer_of_zero(G)
+        for p in (2, 3, 5, 7):
+            mask = _order_p_rows(H.elements, p)
+            assert mask.tolist() == [g.order() == p for g in H.iter_elements()]
+            assert _least_element_of_order(H, p) == _least_of_order_by_loop(H, p)
+
+    @pytest.mark.parametrize("name", AFFINE)
+    def test_metacyclic_choice(self, name):
+        G = named_group(name)
+        self._check_metacyclic(G)
+
+    def test_metacyclic_choice_on_d20(self, metacyclic_group):
+        self._check_metacyclic(metacyclic_group)
+
+    @staticmethod
+    def _check_metacyclic(G):
+        H = point_stabilizer_of_zero(G)
+        try:
+            table = metacyclic_witness(G, 2, H).sorted_points()
+        except ConstructorInapplicable:
+            table = None
+        assert table == _metacyclic_by_loop(G, H)
+
+    @pytest.mark.parametrize("name", AFFINE)
+    def test_negation(self, name):
+        spec = named_group(name).affine
+        assert all(spec.point_add(x, int(y)) == 0 for x, y in enumerate(spec.negation))
 
 
 class TestConjugationCovariance:

@@ -244,6 +244,18 @@ class TestErrors:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0] == f"error: {p} is not prime"
 
+    @pytest.mark.parametrize("depth", [520, 5000])
+    def test_deeply_nested_document(self, runner, tmp_path, depth):
+        # json.load raises RecursionError at about 500 levels of products
+        text = '{"named": "Trivial(1)"}'
+        for _ in range(depth):
+            text = '{"product": [{"named": "Trivial(1)"}, ' + text + ']}'
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["census", str(path), "--p", "2"])
+        assert result.exit_code == EXIT_ERROR
+        assert result.stderr.splitlines() == ["error: group document is nested too deeply"]
+
     def test_census_over_degree_bound(self, runner, spec_file):
         path = spec_file({"degree": 25, "generators": ["(0 1)"]})
         result = runner.invoke(main, ["census", path, "--p", "2"])
