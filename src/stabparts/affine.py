@@ -103,9 +103,10 @@ def build_affine(spec: AffineSpec) -> PermGroup:
 def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
     """Direct product G1 x G2 on pairs, point (a, b) -> a * n2 + b.
 
-    When both factors are affine over the same field, the pair indexing
-    coincides with the base-q encoding of concatenated coordinates, so the
-    product is again affine with dim = dim1 + dim2.
+    When both factors are affine over fields of one characteristic p, the
+    pair indexing coincides with the base-p encoding of the concatenated
+    coordinates, since GF(p^k)^d is GF(p)^(kd) digit by digit: the product
+    is again affine, over GF(p), with dim = k1 dim1 + k2 dim2.
     """
     n1, n2 = G1.degree, G2.degree
     if n1 * n2 > MAX_DEGREE:
@@ -117,8 +118,9 @@ def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
     name = f"Product({G1.name},{G2.name})" if G1.name and G2.name else None
     a1, a2 = G1.affine, G2.affine
     affine = None
-    if a1 is not None and a2 is not None and a1.field is a2.field:
-        affine = AffineSpec(a1.field, a1.dim + a2.dim, (), name=name)
+    if a1 is not None and a2 is not None and a1.field.p == a2.field.p:
+        affine = AffineSpec(build_field(a1.field.p, 1),
+                            a1.field.k * a1.dim + a2.field.k * a2.dim, (), name=name)
     return PermGroup(n1 * n2, gens, name=name, affine=affine)
 
 

@@ -8,6 +8,7 @@ to the right-action convention.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -90,7 +91,7 @@ class Permutation:
     def order(self) -> int:
         return element_order(self)
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -103,7 +104,7 @@ class Permutation:
                 seen[x] = True
                 cyc.append(x)
                 x = int(self.images[x])
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -259,90 +260,86 @@ class PointSet:
 
 
 class _ChainLevel:
-    __slots__ = ("base_point", "gens", "transversal", "inverses")
+    __slots__ = ("base_point", "transversal", "inverses")
 
     def __init__(self, base_point: int, degree: int):
         self.base_point = base_point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {
-            base_point: Permutation.identity(degree)
-        }
+        self.transversal = {base_point: Permutation.identity(degree)}
         self.inverses = dict(self.transversal)  # point -> representative^-1
 
 
 class StabilizerChain:
-    """Deterministic incremental Schreier-Sims for small degrees."""
+    """Deterministic one-pass incremental Schreier-Sims for small degrees.
+
+    The strong generators form one list, each tagged with its depth: it
+    fixes the base points before that level, so it generates levels
+    0..depth.  Each (orbit point x, strong generator s) pair of a level is
+    handled once: a new x^s extends the transversal, else the Schreier
+    generator u_x s u_{x^s}^-1 is sifted, and a residue that does not sift
+    becomes a strong generator.  Pairs wait in a queue, deepest level first,
+    so each sift runs through levels that are already complete.
+    """
 
     def __init__(self, degree: int, gens: Iterable[Permutation] = ()):
         self.degree = degree
         self.levels: list[_ChainLevel] = []
+        self.strong: list[tuple[Permutation, int]] = []  # (generator, depth)
         for g in gens:
             self.add_generator(g)
 
     def order(self) -> int:
-        n = 1
-        for lvl in self.levels:
-            n *= len(lvl.transversal)
-        return n
+        return math.prod(len(lvl.transversal) for lvl in self.levels)
 
     def contains(self, g: Permutation) -> bool:
-        residue, _ = self._sift(g, 0)
+        residue, _ = self._sift(g)
         return residue.is_identity()
 
-    def add_generator(self, g: Permutation) -> None:
-        residue, level = self._sift(g, 0)
+    def add_generator(self, g: Permutation) -> bool:
+        """Grow the group by g; False, with nothing changed, when g is a member."""
+        residue, depth = self._sift(g)
         if residue.is_identity():
-            return
-        level = self._place(level, residue)
-        # The residue fixes every base point above its level, so it joins the
-        # generating set of each of those levels too; recomplete them all.
-        for i in range(level, -1, -1):
-            self._complete_level(i)
+            return False
+        pending: list[tuple[int, int, int]] = []  # heap of (-level, point, strong index)
+        self._add_strong(residue, depth, pending)
+        while pending:
+            neg_level, x, k = heapq.heappop(pending)
+            lvl, s = self.levels[-neg_level], self.strong[k][0]
+            y = int(s.images[x])
+            u = lvl.transversal[x] * s
+            if y in lvl.transversal:
+                residue, depth = self._sift(u * lvl.inverses[y])
+                if not residue.is_identity():
+                    self._add_strong(residue, depth, pending)
+                continue
+            lvl.transversal[y] = u
+            lvl.inverses[y] = u.inverse()
+            for j, (_, depth) in enumerate(self.strong):
+                if depth >= -neg_level:
+                    heapq.heappush(pending, (neg_level, y, j))
+        return True
 
-    def _sift(self, g: Permutation, start: int) -> tuple[Permutation, int]:
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
+    def _sift(self, g: Permutation) -> tuple[Permutation, int]:
+        for i, lvl in enumerate(self.levels):
             x = int(g.images[lvl.base_point])
+            if x == lvl.base_point:
+                continue
             rep = lvl.inverses.get(x)
             if rep is None:
                 return g, i
             g = g * rep
         return g, len(self.levels)
 
-    def _place(self, level: int, g: Permutation) -> int:
-        if level == len(self.levels):
-            moved = int(np.nonzero(g.images != np.arange(self.degree))[0][0])
+    def _add_strong(self, s: Permutation, depth: int,
+                    pending: list[tuple[int, int, int]]) -> None:
+        """Make s a strong generator of levels 0..depth and queue its pairs."""
+        if depth == len(self.levels):
+            moved = int(np.flatnonzero(s.images != np.arange(self.degree))[0])
             self.levels.append(_ChainLevel(moved, self.degree))
-        self.levels[level].gens.append(g)
-        return level
-
-    def _gens_at(self, level: int) -> list[Permutation]:
-        # Generators stored deeper also fix this level's earlier base points.
-        return [g for lvl in self.levels[level:] for g in lvl.gens]
-
-    def _complete_level(self, level: int) -> None:
-        lvl = self.levels[level]
-        gens = self._gens_at(level)
-        lvl.transversal = {lvl.base_point: Permutation.identity(self.degree)}
-        frontier = [lvl.base_point]
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = int(s.images[x])
-                if y not in lvl.transversal:
-                    lvl.transversal[y] = lvl.transversal[x] * s
-                    frontier.append(y)
-        lvl.inverses = {x: u.inverse() for x, u in lvl.transversal.items()}
-        # Every Schreier generator must sift to the identity below this level.
-        for x, u in list(lvl.transversal.items()):
-            for s in gens:
-                y = int(s.images[x])
-                schreier = u * s * lvl.inverses[y]
-                residue, at = self._sift(schreier, level + 1)
-                if not residue.is_identity():
-                    at = self._place(at, residue)
-                    for i in range(at, level, -1):
-                        self._complete_level(i)
+        k = len(self.strong)
+        self.strong.append((s, depth))
+        for i in range(depth + 1):
+            for x in self.levels[i].transversal:
+                heapq.heappush(pending, (-i, x, k))
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,9 @@ def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
                 for i, a in enumerate(gens) for b in gens[i + 1:]]
     while pending:
         h = pending.pop()
-        if h in phi:
-            continue
-        phi.generators += (h,)
-        phi.chain.add_generator(h)
-        pending += [g.inverse() * h * g for g in gens]
+        if phi.chain.add_generator(h):
+            phi.generators += (h,)
+            pending += [g.inverse() * h * g for g in gens]
     return phi
 
 

@@ -68,6 +68,8 @@ PINNED_STAGES = {
     ("Product(J,J)", 2): "translation",
     ("Product(J,J)", 3): "orbit-union",
     ("Product(J,J)", 7): "orbit-union",
+    ("Product(AGammaL(1,9),D6)", 2): "metacyclic",
+    ("Product(AGammaL(1,9),D6)", 3): "translation",
     ("Sym(4)", 2): "sampling",
     ("C4", 2): "sampling",
     ("C8", 2): "sampling",

@@ -41,6 +41,16 @@ class TestClassify:
         assert payload["witness"] == [0, 4]
         assert payload["stab_p_part"] == 2
 
+    def test_product_over_one_characteristic(self, runner, spec_file):
+        # GF(9) and GF(3) share p = 3: the product is affine over GF(3), so the
+        # translation recipe decides it without a census of 2^27 subsets
+        path = spec_file({"named": "Product(AGammaL(1,9),D6)"})
+        result = runner.invoke(main, ["classify", path, "--p", "3"])
+        assert result.exit_code == EXIT_MODERATE, result.stderr
+        payload = _payload(result)
+        assert (payload["status"], payload["stage"]) == ("MODERATE", "translation")
+        assert payload["witness"] == [0, 1, 2]
+
     def test_sym10_classify_over_table_bound(self, runner, spec_file):
         # the witness checks need the element table, which the byte bound refuses
         path = spec_file({"degree": 10, "generators": ["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"]})

@@ -273,7 +273,7 @@ class TestNamedCatalog:
 
         A = named_group("D6")
         B = PermGroup.from_cycles(3, ["(0 1 2)", "(1 2)"])
-        ct = lambda G: Counter(tuple(sorted(len(c) for c in g.cycles(include_fixed=True)))
+        ct = lambda G: Counter(tuple(sorted(len(c) for c in g.cycles()))
                                for g in G.iter_elements())
         assert ct(A) == ct(B)
 
@@ -332,3 +332,18 @@ def test_product_keeps_affine_structure():
     assert G.affine is not None
     assert G.affine.dim == 2
     assert tuple(G.affine.coords[4]) == (1, 1)
+
+
+@pytest.mark.parametrize("name, p, dim", [("Product(AGammaL(1,9),D6)", 3, 3),
+                                          ("Product(J,AGL(1,4))", 2, 5)])
+def test_product_over_one_characteristic_is_affine(name, p, dim):
+    # GF(p^k)^d is GF(p)^(kd), with the same base-p numbering of the points
+    G = named_group(name)
+    assert (G.affine.field.q, G.affine.dim) == (p, dim)
+    translations = [row for row in G.elements if _is_translation(G.affine, row)]
+    assert sorted(int(r[0]) for r in translations) == list(range(G.degree))
+
+
+def test_mixed_characteristic_product_is_not_affine():
+    for name in ("Product(D6,D10)", "Product(AGL(1,5),D6)"):
+        assert named_group(name).affine is None

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -21,6 +22,7 @@ from stabparts import (
     primitivity_blocks,
     product_action,
 )
+from stabparts.perms import StabilizerChain
 from strategies import closure, small_groups
 
 
@@ -154,6 +156,76 @@ def test_chain_agrees_with_closure(G, data):
     draws += [rows[-1], list(range(G.degree))]
     for images in draws:
         assert (Permutation(images) in G) == (tuple(images) in members)
+
+
+def _one_indexed(degree, *cycles):
+    """A permutation from cycles written on the points 1..degree."""
+    text = "".join("(" + " ".join(str(x - 1) for x in c) + ")" for c in cycles)
+    return parse_cycles(text, degree)
+
+
+M11_GENS = [_one_indexed(11, range(1, 12)), _one_indexed(11, (3, 7, 11, 8), (4, 10, 5, 6))]
+M12_GENS = [_one_indexed(12, range(1, 12)), _one_indexed(12, (3, 7, 11, 8), (4, 10, 5, 6)),
+            _one_indexed(12, (1, 12), (2, 11), (3, 6), (4, 8), (5, 9), (7, 10))]
+DEEP_CHAINS = {
+    "M11": (11, M11_GENS, 7920),
+    "M12": (12, M12_GENS, 95040),
+    "Sym(12)": (12, [_one_indexed(12, range(1, 13)), _one_indexed(12, (1, 2))],
+                math.factorial(12)),
+    "Alt(11)": (11, [_one_indexed(11, (1, 2, 3)), _one_indexed(11, range(3, 12))],
+                math.factorial(11) // 2),
+    "Sym(20)": (20, [_one_indexed(20, range(1, 21)), _one_indexed(20, (1, 2))],
+                math.factorial(20)),
+}
+
+
+class TestStabilizerChain:
+    @pytest.mark.parametrize("name", list(DEEP_CHAINS))
+    def test_deep_chain_orders(self, name):
+        # known orders of groups with long chains, beyond the closure tests' reach
+        degree, gens, order = DEEP_CHAINS[name]
+        G = PermGroup(degree, gens)
+        assert G.order == order
+        assert gens[0] * gens[-1] * gens[0] in G
+        odd = _one_indexed(degree, (1, 2))
+        assert (odd in G) == name.startswith("Sym")
+
+    @pytest.mark.parametrize("name", ["M11", "M12", "Alt(11)", "Product(J,J)"])
+    def test_each_schreier_pair_sifted_once(self, monkeypatch, name):
+        G = PermGroup(*DEEP_CHAINS[name][:2]) if name in DEEP_CHAINS else named_group(name)
+        sifts = []
+        sift = StabilizerChain._sift
+        monkeypatch.setattr(StabilizerChain, "_sift",
+                            lambda self, g: sifts.append(g) or sift(self, g))
+        chain = StabilizerChain(G.degree, G.generators)
+        # one sift per generator, at most one per (orbit point, strong generator)
+        # pair of each level
+        pairs = sum(len(lvl.transversal) * sum(depth >= i for _, depth in chain.strong)
+                    for i, lvl in enumerate(chain.levels))
+        assert len(sifts) <= len(G.generators) + pairs
+
+    def test_add_generator_reports_growth(self):
+        chain = StabilizerChain(11, M11_GENS[:1])
+        assert chain.add_generator(M11_GENS[1]) is True
+        assert chain.order() == 7920
+        for g in [M11_GENS[0] ** 3, M11_GENS[1] * M11_GENS[0], Permutation.identity(11)]:
+            assert chain.add_generator(g) is False
+        assert chain.order() == 7920
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(max_order=5040), st.randoms(use_true_random=False))
+def test_chain_ignores_how_the_group_is_generated(G, rnd):
+    # shuffled and repeated generators, and products of them, give the same group
+    gens = list(G.generators)
+    extra = [rnd.choice(gens) * rnd.choice(gens) for _ in range(2)] if gens else []
+    chain = StabilizerChain(G.degree, gens)
+    assert not any(chain.add_generator(g) for g in gens + extra)
+    regenerated = gens + gens[:1] + extra
+    rnd.shuffle(regenerated)
+    H = PermGroup(G.degree, regenerated)
+    assert H.order == G.order == chain.order()
+    assert np.array_equal(H.elements, G.elements)
 
 
 class TestOrbits:
