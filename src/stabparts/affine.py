@@ -129,46 +129,15 @@ def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
 # ---------------------------------------------------------------------------
 
 
-def _dihedral_affine(q: int) -> PermGroup:
-    """D_{2q} as x -> +-x + b on GF(q), q odd prime."""
-    F = build_field(q, 1)
-    spec = AffineSpec(F, 1, (SemilinearGen(((int(F.neg_table[1]),),), 0, ()),),
-                      name=f"D{2 * q}")
-    return build_affine(spec)
-
-
-def _agl1(q_p: int, q_k: int) -> PermGroup:
-    F = build_field(q_p, q_k)
-    g = F.primitive_element()
-    spec = AffineSpec(F, 1, (SemilinearGen(((g,),), 0, ()),),
-                      name=f"AGL(1,{F.q})")
-    return build_affine(spec)
-
-
-def _agammal1(q_p: int, q_k: int) -> PermGroup:
-    F = build_field(q_p, q_k)
-    g = F.primitive_element()
-    spec = AffineSpec(
-        F, 1,
-        (SemilinearGen(((g,),), 0, ()), SemilinearGen(((1,),), 1, ())),
-        name=f"AGammaL(1,{F.q})",
-    )
-    return build_affine(spec)
-
-
-def _agl23() -> PermGroup:
-    # GL(2,3) = <transvections, diag(2,1)>, order 48; AGL(2,3) order 432
-    F = build_field(3, 1)
-    spec = AffineSpec(
-        F, 2,
-        (
-            SemilinearGen(((1, 1), (0, 1)), 0, ()),
-            SemilinearGen(((1, 0), (1, 1)), 0, ()),
-            SemilinearGen(((2, 0), (0, 1)), 0, ()),
-        ),
-        name="AGL(2,3)",
-    )
-    return build_affine(spec)
+def _catalog_affine(p: int, k: int, dim: int, name: str,
+                    matrices: list[tuple[tuple[int, ...], ...]],
+                    frobenius: bool = False) -> PermGroup:
+    """V . <matrices> on V = GF(p^k)^dim; with frobenius (dim 1 only), the
+    map x -> x^p joins the matrices as the last generator."""
+    gens = [SemilinearGen(matrix) for matrix in matrices]
+    if frobenius:
+        gens.append(SemilinearGen(((1,),), 1))
+    return build_affine(AffineSpec(build_field(p, k), dim, tuple(gens), name=name))
 
 
 def _sym(n: int) -> PermGroup:
@@ -191,20 +160,21 @@ def named_group(name: str) -> PermGroup:
         left, right = _split_top_level(inner)
         return product_action(named_group(left), named_group(right))
     key = name.replace(" ", "")
-    if key in ("D6", "Dihedral(6)"):
-        return _dihedral_affine(3)
+    if key in ("D6", "Dihedral(6)"):  # D_{2q}: x -> +-x + b on GF(q), -1 = q - 1
+        return _catalog_affine(3, 1, 1, "D6", [((2,),)])
     if key in ("D10", "Dihedral(10)"):
-        return _dihedral_affine(5)
-    if key in ("J", "AGammaL(1,8)"):
-        return _agammal1(2, 3)
-    if key == "AGammaL(1,9)":
-        return _agammal1(3, 2)
+        return _catalog_affine(5, 1, 1, "D10", [((4,),)])
+    if key in ("J", "AGammaL(1,8)", "AGammaL(1,9)"):
+        p, k = (3, 2) if key == "AGammaL(1,9)" else (2, 3)
+        g = build_field(p, k).primitive_element()
+        return _catalog_affine(p, k, 1, f"AGammaL(1,{p**k})", [((g,),)], frobenius=True)
     if key.startswith("AGL(1,") and key.endswith(")"):
-        q = _named_degree(key[len("AGL(1,"):-1], name)
-        p, k = _factor_prime_power(q)
-        return _agl1(p, k)
-    if key == "AGL(2,3)":
-        return _agl23()
+        p, k = _factor_prime_power(_named_degree(key[len("AGL(1,"):-1], name))
+        g = build_field(p, k).primitive_element()
+        return _catalog_affine(p, k, 1, f"AGL(1,{p**k})", [((g,),)])
+    if key == "AGL(2,3)":  # GL(2,3) = <transvections, diag(2,1)>, order 48
+        return _catalog_affine(3, 1, 2, "AGL(2,3)",
+                               [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 1))])
     if key in ("Sym(4)", "S4"):
         return _sym(4)
     if key.startswith("C") and key[1:].isdigit():

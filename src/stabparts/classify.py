@@ -31,8 +31,8 @@ import numpy as np
 
 from . import kernels
 from .affine import AffineSpec
-from .perms import (PermGroup, Permutation, PointSet, ResourceLimit, commuting_rows,
-                    orbits)
+from .perms import (PermGroup, PointSet, ResourceLimit, _least_element_of_order,
+                    _order_p_rows, centralizing_rows, orbits)
 from .sylow import p_part
 
 SAMPLING_TRIALS = 200
@@ -132,23 +132,6 @@ def regular_orbit_pair(H: PermGroup) -> Optional[tuple[int, int]]:
     return None
 
 
-def _order_p_rows(E: np.ndarray, p: int) -> np.ndarray:
-    """Mask of the rows g of a sorted element table with g^p = 1 != g; for
-    p prime these are the elements of order p."""
-    power = E
-    for _ in range(p - 1):
-        power = np.take_along_axis(E, power, axis=1)
-    mask = (power == np.arange(E.shape[1])).all(axis=1)
-    mask[0] = False  # row 0 is the identity
-    return mask
-
-
-def _least_element_of_order(H: PermGroup, p: int) -> Optional[Permutation]:
-    """The least element of prime order p of H, or None."""
-    rows = np.flatnonzero(_order_p_rows(H.elements, p))
-    return Permutation._trusted(H.elements[rows[0]]) if rows.size else None
-
-
 # ---------------------------------------------------------------------------
 # Witness constructors from the proofs
 # ---------------------------------------------------------------------------
@@ -216,9 +199,7 @@ def metacyclic_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
         raise ConstructorInapplicable("recipe is specific to p = 2")
     neg = _affine_spec(G).negation
     E = H.elements
-    central = np.ones(E.shape[0], dtype=bool)
-    for h in H.generators:
-        central &= commuting_rows(E, h)
+    central = centralizing_rows(E, H.generators)
     points = np.arange(G.degree)
     fixed = (E == points)[:, 1:]
     negated = ((E == neg) & (neg != points))[:, 1:]

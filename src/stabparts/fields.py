@@ -4,6 +4,11 @@ Elements are indexed 0..q-1 by the base-p encoding of their polynomial
 coefficients (constant term least significant), so index 0 is zero, index 1
 is one and, for k > 1, index p is the class of x.  The modulus for each q is
 fixed by a built-in table so every derived point numbering is reproducible.
+
+Both tables are built from one (q, k) array of coefficient digits: addition
+is digitwise mod p, and a * b is the sum of a_i (x^i b), where x^i b comes
+from one "times x" table (shift the digits up, then subtract the overflow
+digit times the modulus).
 """
 
 from __future__ import annotations
@@ -67,49 +72,23 @@ class FiniteField:
         self.neg_table.setflags(write=False)
         self.frobenius_table.setflags(write=False)
 
-    # -- table construction --------------------------------------------------
-
-    def _coeffs(self, idx: int) -> list[int]:
-        c = []
-        for _ in range(self.k):
-            c.append(idx % self.p)
-            idx //= self.p
-        return c
-
-    def _index(self, coeffs: list[int]) -> int:
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * self.p + (c % self.p)
-        return idx
-
-    def _polymul(self, a: list[int], b: list[int]) -> list[int]:
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        # reduce modulo the monic modulus
-        mod = self.modulus
-        for deg in range(len(prod) - 1, k - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for j in range(k):
-                    prod[deg - k + j] = (prod[deg - k + j] - c * mod[j]) % p
-        return prod[:k]
-
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        q = self.q
-        add = np.zeros((q, q), dtype=np.int16)
-        mul = np.zeros((q, q), dtype=np.int16)
-        coeffs = [self._coeffs(i) for i in range(q)]
-        for i in range(q):
-            for j in range(q):
-                add[i, j] = self._index(
-                    [(a + b) % self.p for a, b in zip(coeffs[i], coeffs[j])]
-                )
-                mul[i, j] = self._index(self._polymul(coeffs[i], coeffs[j]))
+        """Both tables from the (q, k) array of every element's digits."""
+        p, k, q = self.p, self.k, self.q
+        weights = p ** np.arange(k)
+        digits = np.arange(q)[:, np.newaxis] // weights % p  # (q, k) coefficients
+        add = (digits[:, np.newaxis] + digits) % p @ weights
+        # x * a: shift the digits up; x^k = -(modulus below degree k)
+        shifted = np.pad(digits[:, :-1], ((0, 0), (1, 0)))
+        times_x = (shifted - digits[:, -1:] * self.modulus[:k]) % p @ weights
+        # a * b = sum over i of a_i (x^i b), summed digitwise
+        total = np.zeros((q, q, k), dtype=np.int64)
+        x_power_b = np.arange(q)
+        for i in range(k):
+            total += digits[:, i, np.newaxis, np.newaxis] * digits[x_power_b]
+            x_power_b = times_x[x_power_b]
+        mul = total % p @ weights
+        add, mul = add.astype(np.int16), mul.astype(np.int16)
         add.setflags(write=False)
         mul.setflags(write=False)
         return add, mul
@@ -127,21 +106,15 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
 
-    def element_mult_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative order")
-        order, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            order += 1
-        return order
-
     def primitive_element(self) -> int:
-        """Least element generating the multiplicative group."""
-        for a in range(1, self.q):
-            if self.element_mult_order(a) == self.q - 1:
-                return a
-        raise AssertionError("no primitive element found")  # pragma: no cover
+        """Least element generating the multiplicative group: the least a
+        whose powers first reach 1 at a^(q-1)."""
+        units = np.arange(1, self.q)
+        power, early = np.ones_like(units), np.zeros(units.shape, dtype=bool)
+        for _ in range(self.q - 2):  # a^1 .. a^(q-2)
+            power = self.mul_table[power, units]
+            early |= power == 1
+        return int(units[~early][0])
 
     def __repr__(self) -> str:
         return f"GF({self.q})"

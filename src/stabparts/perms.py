@@ -503,9 +503,30 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
     return G.subgroup_from_rows(E[keep], name="normalizer")
 
 
-def commuting_rows(E: np.ndarray, g: Permutation) -> np.ndarray:
-    """Mask of the rows h of E with hg = gh, i.e. g[h[x]] = h[g[x]] for all x."""
-    return (g.images[E] == E[:, g.images]).all(axis=1)
+def centralizing_rows(E: np.ndarray, gens: Iterable[Permutation]) -> np.ndarray:
+    """Mask of the rows h of E with hg = gh, i.e. g[h[x]] = h[g[x]] for all
+    x, for every g in gens."""
+    keep = np.ones(E.shape[0], dtype=bool)
+    for g in gens:
+        keep &= (g.images[E] == E[:, g.images]).all(axis=1)
+    return keep
+
+
+def _order_p_rows(E: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the rows g of a sorted element table with g^p = 1 != g; for
+    p prime these are the elements of order p."""
+    power = E
+    for _ in range(p - 1):
+        power = np.take_along_axis(E, power, axis=1)
+    mask = (power == np.arange(E.shape[1])).all(axis=1)
+    mask[0] = False  # row 0 is the identity
+    return mask
+
+
+def _least_element_of_order(H: PermGroup, p: int) -> Optional[Permutation]:
+    """The least element of prime order p of H, or None."""
+    rows = np.flatnonzero(_order_p_rows(H.elements, p))
+    return Permutation._trusted(H.elements[rows[0]]) if rows.size else None
 
 
 # ---------------------------------------------------------------------------

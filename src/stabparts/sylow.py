@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fields import is_prime
-from .perms import PermGroup, Permutation, commuting_rows, normalizer
+from .perms import PermGroup, Permutation, _order_p_rows, centralizing_rows, normalizer
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -135,10 +133,7 @@ def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
 
 def center(P: PermGroup) -> PermGroup:
     E = P.elements
-    keep = np.ones(E.shape[0], dtype=bool)
-    for h in P.generators:
-        keep &= commuting_rows(E, h)
-    return P.subgroup_from_rows(E[keep], name="center")
+    return P.subgroup_from_rows(E[centralizing_rows(E, P.generators)], name="center")
 
 
 def frattini_center_element(P: PermGroup, p: int) -> Permutation:
@@ -146,7 +141,9 @@ def frattini_center_element(P: PermGroup, p: int) -> Permutation:
     if is_elementary_abelian(P, p):
         raise ValueError("P is elementary abelian; no Frattini-center element")
     phi = frattini_subgroup(P, p)
-    for g in center(P).iter_elements():  # elements come lexicographically sorted
-        if g.order() == p and g in phi:
+    Z = center(P).elements  # lexicographically sorted rows
+    for row in Z[_order_p_rows(Z, p)]:
+        g = Permutation._trusted(row)
+        if g in phi:
             return g
     raise AssertionError("nontrivial Frattini-center element must exist")

@@ -24,7 +24,7 @@ from .classify import (
     setwise_stabilizer,
     stab_p_part,
 )
-from .perms import Permutation, PointSet, orbits
+from .perms import Permutation, PointSet, _least_element_of_order, orbits
 from .sylow import (
     all_sylows,
     frattini_center_element,
@@ -151,7 +151,7 @@ def product_counting(seed: int = 0, trials: int = 1000) -> list[Check]:
 
 
 def _order3_first_factor_element(J) -> Permutation:
-    t3 = next(g for g in J.iter_elements() if g.order() == 3)
+    t3 = _least_element_of_order(J, 3)
     idx = np.arange(64, dtype=np.int32)
     return Permutation(t3.images[idx // 8] * 8 + idx % 8)
 

@@ -14,12 +14,14 @@ from stabparts.affine import (
     group_from_document,
     product_action,
 )
-from stabparts.fields import _MODULI
+from stabparts.fields import _MODULI, is_prime
 
 
 ALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
               (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
               (3, 2), (3, 3), (5, 2), (7, 2)]
+# every field build_field supports: the fixed moduli and the primes up to 64
+SUPPORTED_FIELDS = sorted(set(_MODULI) | {(p, 1) for p in range(2, 65) if is_prime(p)})
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS)
@@ -71,6 +73,46 @@ def test_gf5_is_integers_mod_5():
     for a, b in itertools.product(range(5), repeat=2):
         assert F.add(a, b) == (a + b) % 5
         assert F.mul(a, b) == (a * b) % 5
+
+
+def _textbook_product(a: list[int], b: list[int], p: int, modulus) -> list[int]:
+    """a * b as coefficient lists (low degree first), reduced by the monic
+    modulus one leading term at a time."""
+    k = len(a)
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for deg in range(2 * k - 2, k - 1, -1):
+        lead, prod[deg] = prod[deg], 0
+        for j in range(k):
+            prod[deg - k + j] -= lead * modulus[j]
+    return [c % p for c in prod[:k]]
+
+
+@pytest.mark.parametrize("p,k", SUPPORTED_FIELDS)
+def test_tables_are_textbook_arithmetic(p, k):
+    """The tables equal coefficient-list arithmetic modulo the fixed modulus,
+    and the primitive element is the least element of order q - 1."""
+    assert len(SUPPORTED_FIELDS) == 27
+    F = build_field(p, k)
+    q, modulus = p**k, _MODULI.get((p, k), (0, 1))
+    digits = [[a // p**i % p for i in range(k)] for a in range(q)]
+
+    def index(coeffs):
+        return sum(c * p**i for i, c in enumerate(coeffs))
+
+    add = [[index([(x + y) % p for x, y in zip(da, db)]) for db in digits] for da in digits]
+    mul = [[index(_textbook_product(da, db, p, modulus)) for db in digits] for da in digits]
+    assert F.add_table.tolist() == add and F.mul_table.tolist() == mul
+
+    def order(a):
+        power, e = a, 1
+        while power != 1:
+            power, e = mul[power][a], e + 1
+        return e
+
+    assert F.primitive_element() == min(a for a in range(1, q) if order(a) == q - 1)
 
 
 def test_fixed_moduli():
@@ -252,6 +294,12 @@ class TestNamedCatalog:
     def test_catalog(self, name, degree, order):
         G = named_group(name)
         assert (G.degree, G.order) == (degree, order)
+
+    @pytest.mark.parametrize("p,k", SUPPORTED_FIELDS)
+    def test_agl1_order(self, p, k):
+        q = p**k
+        G = named_group(f"AGL(1,{q})")
+        assert (G.name, G.degree, G.order) == (f"AGL(1,{q})", q, q * (q - 1))
 
     def test_agammal_order_formula(self):
         # |AGammaL(1,q)| = q (q - 1) k for q = p^k
