@@ -7,7 +7,9 @@ A group (G, Omega) with p | |G| is:
   * p-extreme    - not p-moderate (every stabilizer p-part is 1 or full).
 
 Every per-subset fact comes from one census primitive, the orbit sizes
-|S^G| of G on all 2^n subsets (kernels.subset_orbit_sizes): by
+|S^G| of G on all 2^n subsets (_orbit_sizes: each subset's stabilizer is
+counted over the cycle unions of G's elements when those number at most
+2^n, and otherwise orbits are labelled from the generators alone).  By
 orbit-stabilizer |Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is
 fixed by some Sylow p-subgroup iff p does not divide |S^G|.  That census is
 the oracle.  The constructive strategy first verifies one stream of
@@ -95,7 +97,29 @@ def is_p_concealed(G: PermGroup, p: int) -> tuple[bool, Optional[PointSet]]:
 
 
 def _orbit_sizes(G: PermGroup) -> np.ndarray:
-    return kernels.subset_orbit_sizes([g.images for g in G.generators], G.degree)
+    """|S^G| for every subset mask S, by the route the input admits.
+
+    After the MAX_SCAN_BITS check, the cycle-union route
+    (kernels.cycle_union_counts, |S^G| = |G| / |Stab(S)|) runs when all
+    of these hold:
+      * |G| - 1 <= 2^(n-1), since each non-identity element fixes at least
+        the empty set and Omega, so more elements give more unions than masks;
+      * G.elements fits MAX_TABLE_BYTES;
+      * the non-identity elements' cycle unions, sum of 2^c(g), number at
+        most 2^n.
+    A ResourceLimit from either of the last two means the label route,
+    kernels.subset_orbit_sizes, which reads only the generators.
+    """
+    n = G.degree
+    kernels.check_scan_bits(n)
+    if 2 * (G.order - 1) <= 1 << n:
+        try:
+            counts = kernels.cycle_union_counts(G.elements, n)
+        except ResourceLimit:
+            pass
+        else:
+            return np.floor_divide(G.order, counts, out=counts)
+    return kernels.subset_orbit_sizes([g.images for g in G.generators], n)
 
 
 # ---------------------------------------------------------------------------

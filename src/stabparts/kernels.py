@@ -1,9 +1,13 @@
 """Kernels over all 2^n subsets of {0..n-1}.
 
-Subsets are encoded as bit masks, point i -> bit 2^i.  `subset_orbit_sizes`
-is the one production kernel: every per-subset fact follows from the orbit
-sizes |S^G|, since |Stab(S)| = |G| / |S^G| and S is fixed by a Sylow
-p-subgroup iff p does not divide |S^G|.  `stabilizer_counts` and
+Subsets are encoded as bit masks, point i -> bit 2^i.  Every per-subset fact
+follows from the orbit sizes |S^G|, since |Stab(S)| = |G| / |S^G| and S is
+fixed by a Sylow p-subgroup iff p does not divide |S^G|.  Two production
+kernels give them, and `classify._orbit_sizes` picks one from the input:
+`cycle_union_counts` counts |Stab(S)| over the element table, since each
+element fixes exactly the unions of its cycles; `subset_orbit_sizes` labels
+the masks' orbits from the generators alone, for groups whose table is too
+large or whose cycle unions outnumber the masks.  `stabilizer_counts` and
 `mark_orbit_unions` are definitional references that only the tests and the
 benchmark's tracer use; no production code calls them.
 """
@@ -56,6 +60,46 @@ def subset_orbit_sizes(gens: Iterable[np.ndarray], n: int) -> np.ndarray:
             break
     del images, before  # free them before the two count arrays are built
     return np.bincount(label, minlength=1 << n)[label]
+
+
+def cycle_union_counts(elems: np.ndarray, n: int) -> np.ndarray:
+    """|Stab(S)| for every subset mask S, from the cycles of each element.
+
+    elems is the sorted (|G|, n) element table, row 0 the identity.  An
+    element g fixes exactly the 2^c(g) unions of its c(g) cycles, so
+    |Stab(S)| is 1 plus the number of non-identity rows of which S is a
+    cycle union.  Each point's cycle mask is ORed up by pointer doubling;
+    the rows are grouped by cycle count and each group's unions are built
+    by doubling, then counted.  Raises ResourceLimit, before any union is
+    built, when sum over g != 1 of 2^c(g) exceeds the 2^n masks.
+    """
+    check_scan_bits(n)
+    step = elems[1:]
+    bits = np.int32(1) << np.arange(n, dtype=np.int32)
+    cyc = np.broadcast_to(bits, step.shape)
+    for _ in range((n - 1).bit_length()):
+        cyc = cyc | np.take_along_axis(cyc, step, axis=1)
+        step = np.take_along_axis(step, step, axis=1)
+    # a cycle's mask is read at its least point, whose bit is the lowest one
+    lead = (cyc & -cyc) == bits
+    ncyc = lead.sum(axis=1)
+    rows_with = np.bincount(ncyc, minlength=n + 1)  # rows with c cycles, by c
+    total = sum(int(k) << c for c, k in enumerate(rows_with))
+    if total > 1 << n:
+        raise ResourceLimit(f"{total} cycle unions exceed the {1 << n} subset masks")
+    unions = np.empty(total, dtype=np.int32)
+    start = 0
+    for c in map(int, np.flatnonzero(rows_with)):
+        rows = np.flatnonzero(ncyc == c)
+        cycles = cyc[rows][lead[rows]].reshape(rows.size, c)
+        out = unions[start:start + (rows.size << c)].reshape(rows.size, 1 << c)
+        start += out.size
+        out[:, 0] = 0
+        for j in range(c):
+            np.bitwise_or(out[:, :1 << j], cycles[:, j, None], out=out[:, 1 << j:2 << j])
+    counts = np.bincount(unions, minlength=1 << n)
+    counts += 1  # the identity fixes every mask
+    return counts
 
 
 def stabilizer_counts(elems: np.ndarray, n: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,13 +10,16 @@ from stabparts import (
     PointSet,
     ResourceLimit,
     all_sylows,
+    census_histogram,
     is_p_concealed,
     named_group,
     orbits,
     setwise_stabilizer,
 )
+from stabparts.classify import _orbit_sizes
 from stabparts.kernels import (
     MAX_SCAN_BITS,
+    cycle_union_counts,
     mark_orbit_unions,
     stabilizer_counts,
     subset_orbit_sizes,
@@ -126,3 +131,72 @@ class TestSubsetOrbitSizes:
     def test_agl_1_23_at_the_bound(self):
         ok, counterexample = is_p_concealed(named_group("AGL(1,23)"), 2)
         assert not ok and counterexample == PointSet(23, {0, 1, 3})
+
+
+def _label_route(G):
+    return subset_orbit_sizes([g.images for g in G.generators], G.degree)
+
+
+# the nine census-workload groups of perfbench, the zoo, and two at n = 23, 24
+ROUTE_GROUPS = (
+    "Product(C2,AGL(1,5))", "AGL(1,11)", "Product(D6,Sym(4))", "AGL(1,13)",
+    "Product(D6,AGL(1,5))", "AGL(1,16)", "Product(Sym(4),Sym(4))", "AGL(1,17)",
+    "AGL(1,19)",
+    "D6", "D10", "AGL(1,5)", "J", "AGammaL(1,9)", "AGL(2,3)", "Sym(4)", "C4",
+    "Product(D6,D6)",
+    "AGL(1,23)", "Product(Sym(4),C6)",
+)
+
+
+class TestCycleUnionCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups(max_order=128))
+    @example(PermGroup.trivial(3))
+    @example(PermGroup.from_cycles(2, ["(0 1)"]))
+    @example(PermGroup(1, []))
+    def test_matches_scan_and_label_route(self, G):
+        n = G.degree
+        unions = sum(1 << len(orbits([g], n)) for g in G.iter_elements()) - (1 << n)
+        if unions > 1 << n:
+            with pytest.raises(ResourceLimit, match="cycle unions"):
+                cycle_union_counts(G.elements, n)
+            return
+        counts = cycle_union_counts(G.elements, n)
+        assert np.array_equal(counts, stabilizer_counts(G.elements, n))
+        assert np.array_equal(counts, G.order // _label_route(G))
+
+    @pytest.mark.parametrize("name", ROUTE_GROUPS)
+    def test_orbit_sizes_equal_label_route(self, name):
+        G = named_group(name)
+        sizes, labels = _orbit_sizes(G), _label_route(G)
+        assert sizes.dtype == labels.dtype and np.array_equal(sizes, labels)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_symmetric_groups_build_no_table(self, n):
+        G = PermGroup.from_cycles(n, ["(" + " ".join(map(str, range(n))) + ")", "(0 1)"])
+        assert sum(census_histogram(G, 2).values()) == 1 << n
+        assert G._elements is None
+
+
+class TestLabelRouteAtScale:
+    """C2^10 on 20 points, generated by the transpositions (2i 2i+1).
+
+    An element moving s pairs has 20 - s cycles, so the non-identity cycle
+    unions number 2^10 * 3^10 - 2^20, far above the 2^20 masks: the census
+    takes the label route.  A subset splitting s pairs has |Stab| = 2^(10-s).
+    """
+
+    @pytest.fixture(scope="class")
+    def G(self):
+        return PermGroup.from_cycles(20, [f"({2 * i} {2 * i + 1})" for i in range(10)])
+
+    def test_unions_refused(self, G):
+        with pytest.raises(ResourceLimit, match=str(2**10 * 3**10 - 2**20)):
+            cycle_union_counts(G.elements, G.degree)
+
+    def test_census_closed_form(self, G):
+        assert census_histogram(G, 2) == {2 ** (10 - s): comb(10, s) << 10
+                                          for s in range(11)}
+
+    def test_not_concealed(self, G):
+        assert is_p_concealed(G, 2) == (False, PointSet(20, {0}))
