@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .classify import stab_p_part
-from .perms import PermGroup, Permutation, PointSet, orbits
+from .perms import PermGroup, Permutation, PointSet, normalizer, orbits
 from .sylow import (
     SylowData,
     all_sylows,
-    frattini_center_element,
-    is_elementary_abelian,
+    find_sylow,
+    frattini_center_and_fixed,
     p_part,
 )
 
@@ -67,21 +67,15 @@ def sylow_cover_bound(G: PermGroup, p: int,
     r = len(P.orbits())
     exact = data.count * (1 << r)
     coarse = None
-    if not is_elementary_abelian(P, p):
-        z = frattini_center_element(P, p)
-        f = _fixed_points(z)
-        n = G.degree
+    zf = frattini_center_and_fixed(P, p)
+    if zf is not None:
+        f, den = zf[1], p * p
         # f + (n - f)/p^2 may be fractional; ceil gives a valid integer bound
-        num = f * p * p + (n - f)
-        den = p * p
+        num = f * den + (G.degree - f)
         coarse = data.count * (1 << ((num + den - 1) // den))
         if exact > coarse:  # pragma: no cover - ruled out by the orbit floor
             raise AssertionError("exact union bound exceeded the coarse bound")
     return CoverBound(data.count, r, exact, coarse)
-
-
-def _fixed_points(z: Permutation) -> int:
-    return sum(1 for x in range(z.degree) if int(z.images[x]) == x)
 
 
 @dataclass
@@ -121,24 +115,24 @@ class CountingCertificate:
 def prop_certificate(G: PermGroup, p: int) -> CountingCertificate:
     """Evaluate the counting criterion; verdict True certifies p-moderation.
 
-    Requires a non-elementary-abelian Sylow p-subgroup, from which the
-    witness element z of order p in Phi(P) & Z(P) is taken.
+    Requires a non-elementary-abelian Sylow p-subgroup P, checked before n_p
+    is counted, for the witness element z of order p in Phi(P) & Z(P).
     """
     if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
-    data = all_sylows(G, p)
-    P = data.representative
-    if is_elementary_abelian(P, p):
+    P = find_sylow(G, p)
+    zf = frattini_center_and_fixed(P, p)
+    if zf is None:
         raise CriterionInapplicable(
             "Sylow p-subgroup is elementary abelian; the criterion is silent"
         )
-    z = frattini_center_element(P, p)
-    f = _fixed_points(z)
+    z, f = zf
     n = G.degree
     if (n - f) % p != 0:  # pragma: no cover - z has order p
         raise AssertionError("non-fixed points of z must fall in p-cycles")
-    verdict = data.count ** (p * p) < (1 << ((n - f) * (p - 1)))
-    return CountingCertificate(p, n, z, f, data.count, verdict)
+    count = G.order // len(normalizer(G, P))  # n_p = |G : N_G(P)|
+    verdict = count ** (p * p) < (1 << ((n - f) * (p - 1)))
+    return CountingCertificate(p, n, z, f, count, verdict)
 
 
 def orbit_size_floor_check(P: PermGroup, p: int, z: Permutation) -> bool:

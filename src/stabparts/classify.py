@@ -6,20 +6,20 @@ A group (G, Omega) with p | |G| is:
   * p-moderate   - some subset Delta has 1 < |Stab(Delta)|_p < |G|_p;
   * p-extreme    - not p-moderate (every stabilizer p-part is 1 or full).
 
-Every per-subset fact comes from one census primitive, the orbit sizes
-|S^G| of G on all 2^n subsets (_orbit_sizes: each subset's stabilizer is
-counted over the cycle unions of G's elements when those number at most
-2^n, and otherwise orbits are labelled from the generators alone).  By
-orbit-stabilizer |Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is
-fixed by some Sylow p-subgroup iff p does not divide |S^G|.  That census is
-the oracle.  The constructive strategy first verifies one stream of
-candidates, the witness recipes' and then seeded random subsets, and ends
-in the census like the exhaustive one, so the two can never disagree.  The
-recipes after translation_witness read the linear part H = Stab_G(0),
-built once per classification, through its element table.  Witness
-constructors are candidate generators only: the verifier (stab_p_part, which
-filters the element rows point by point over Delta or its complement) is
-the single source of truth.
+Every per-subset fact comes from one census primitive, the orbit sizes |S^G|
+of G on all 2^n subsets (_orbit_sizes: stabilizers are counted over the cycle
+unions of G's elements when those number at most 2^n, else orbits are
+labelled from the generators alone).  By orbit-stabilizer
+|Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is fixed by some Sylow
+p-subgroup iff p does not divide |S^G|.  That census is the oracle, read
+through one p-part per distinct orbit size (exhaustive_p_parts).  The
+constructive strategy first verifies one stream of candidates, the witness
+recipes' and then seeded random subsets, and ends in the census like the
+exhaustive one, so the two can never disagree.  The recipes after
+translation_witness read the linear part H = Stab_G(0), built once per
+classification, through its element table.  Witness constructors are
+candidate generators only: the verifier (stab_p_part, which filters the
+element rows point by point over Delta or its complement) alone accepts them.
 """
 
 from __future__ import annotations
@@ -294,15 +294,14 @@ class ModerationReport:
         return dict(vars(self), witness=witness)
 
 
-def exhaustive_p_parts(G: PermGroup, p: int) -> np.ndarray:
-    """|Stab(S)|_p = |G|_p / |S^G|_p for every subset mask S (the census oracle)."""
+def exhaustive_p_parts(G: PermGroup, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The census oracle: |S^G| for every subset mask S, and a lookup from each
+    orbit size s to |Stab(S)|_p = (|G| / s)_p, 0 for sizes that no S has."""
     sizes = _orbit_sizes(G)
-    gp = p_part(G.order, p)
-    # orbit sizes take few distinct values: look their p-parts up in a table
-    values = np.flatnonzero(np.bincount(sizes))
-    table = np.zeros(int(values[-1]) + 1, dtype=np.int64)
-    table[values] = [gp // p_part(int(v), p) for v in values]
-    return table[sizes]
+    parts = np.bincount(sizes)
+    present = np.flatnonzero(parts)
+    parts[present] = [p_part(G.order // int(s), p) for s in present]
+    return sizes, parts
 
 
 def census_histogram(G: PermGroup, p: int) -> dict[int, int]:
@@ -310,9 +309,10 @@ def census_histogram(G: PermGroup, p: int) -> dict[int, int]:
     kernels.check_scan_bits(G.degree)  # before |G|, which can cost far more
     if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G|")
-    parts = exhaustive_p_parts(G, p)
-    values, counts = np.unique(parts, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+    sizes, parts = exhaustive_p_parts(G, p)
+    counts = np.bincount(sizes)
+    return {v: int(counts[parts == v].sum())
+            for v in sorted(set(parts[parts > 0].tolist()))}
 
 
 def _verify_witness(G: PermGroup, delta: PointSet, p: int,
@@ -391,14 +391,14 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
         if part is not None:
             return _moderate(report, stage, delta, part)
 
-    parts = exhaustive_p_parts(G, p)
+    sizes, parts = exhaustive_p_parts(G, p)
     report.exhaustive = True
-    moderate = np.flatnonzero((parts > 1) & (parts < gp))
-    if moderate.size:
-        least = int(moderate[0])
+    moderate = (parts > 1) & (parts < gp)  # per orbit size
+    if moderate.any():
+        least = int(np.argmax(moderate[sizes]))
         return _moderate(report, "exhaustive", PointSet.from_mask(n, least),
-                         int(parts[least]))
-    report.concealed = bool((parts == gp).all())
+                         int(parts[sizes[least]]))
+    report.concealed = bool((parts[parts > 0] == gp).all())
     return report
 
 

@@ -483,8 +483,9 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
-def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    """N_G(H) = {g in G : g^-1 H g = H}; requires H <= G, both enumerable.
+def normalizer(G: PermGroup, H: PermGroup) -> np.ndarray:
+    """The rows of G.elements that form N_G(H) = {g in G : g^-1 H g = H},
+    still sorted; requires H <= G, both enumerable.
 
     Each generator h of H is conjugated by all candidate rows g at once:
     g^-1 h g maps g[y] to g[h[y]], one scatter per row.  Conjugating the
@@ -500,7 +501,7 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
         conj = np.empty_like(rows)
         np.put_along_axis(conj, rows, rows[:, h.images], axis=1)
         keep = keep[np.isin(_row_keys(conj), hkeys)]
-    return G.subgroup_from_rows(E[keep], name="normalizer")
+    return E[keep]
 
 
 def centralizing_rows(E: np.ndarray, gens: Iterable[Permutation]) -> np.ndarray:

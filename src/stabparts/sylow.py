@@ -1,13 +1,15 @@
 """Sylow p-subgroups and the p-structure predicates used by the classifier.
 
-Sylow subgroups, normalizers and centers are read off element tables; the
-Frattini subgroup is grown from generators in a stabilizer chain.  Results
-are exact and brute-force checkable by construction.
+Sylow subgroups are grown from element tables, of which normalizers and
+centers are the selected sorted rows; the Frattini subgroup is grown in a
+stabilizer chain.  Results are exact and brute-force checkable by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .fields import is_prime
 from .perms import PermGroup, Permutation, _order_p_rows, centralizing_rows, normalizer
@@ -73,15 +75,12 @@ def find_sylow(G: PermGroup, p: int) -> PermGroup:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
     P = G.subgroup([_least_p_element(G, p)], name=f"Sylow_{p}")
     while P.order < target:
-        N = normalizer(G, P)
-        extended = False
-        for g in N.iter_elements():
+        for g in map(Permutation._trusted, normalizer(G, P)):
             ordg = g.order()
             if ordg > 1 and p_part(ordg, p) == ordg and g not in P:
                 P = G.subgroup(list(P.generators) + [g], name=f"Sylow_{p}")
-                extended = True
                 break
-        if not extended:  # pragma: no cover - impossible by Sylow theory
+        else:  # pragma: no cover - impossible by Sylow theory
             raise AssertionError("Sylow extension step failed")
     return P
 
@@ -89,7 +88,7 @@ def find_sylow(G: PermGroup, p: int) -> PermGroup:
 def all_sylows(G: PermGroup, p: int) -> SylowData:
     """One Sylow p-subgroup P with n_p = |G : N_G(P)|, the number of its conjugates."""
     P = find_sylow(G, p)
-    return SylowData(p, P, G.order // normalizer(G, P).order)
+    return SylowData(p, P, G.order // len(normalizer(G, P)))
 
 
 def is_p_group(P: PermGroup, p: int) -> bool:
@@ -131,9 +130,10 @@ def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
     return phi
 
 
-def center(P: PermGroup) -> PermGroup:
+def center(P: PermGroup) -> np.ndarray:
+    """Z(P): the rows of P.elements, still sorted, that commute with P's generators."""
     E = P.elements
-    return P.subgroup_from_rows(E[centralizing_rows(E, P.generators)], name="center")
+    return E[centralizing_rows(E, P.generators)]
 
 
 def frattini_center_element(P: PermGroup, p: int) -> Permutation:
@@ -141,9 +141,17 @@ def frattini_center_element(P: PermGroup, p: int) -> Permutation:
     if is_elementary_abelian(P, p):
         raise ValueError("P is elementary abelian; no Frattini-center element")
     phi = frattini_subgroup(P, p)
-    Z = center(P).elements  # lexicographically sorted rows
-    for row in Z[_order_p_rows(Z, p)]:
-        g = Permutation._trusted(row)
+    Z = center(P)
+    for g in map(Permutation._trusted, Z[_order_p_rows(Z, p)]):
         if g in phi:
             return g
     raise AssertionError("nontrivial Frattini-center element must exist")
+
+
+def frattini_center_and_fixed(P: PermGroup, p: int) -> tuple[Permutation, int] | None:
+    """(z, f): frattini_center_element(P, p) and its number f of fixed
+    points, or None when P is elementary abelian and has no such z."""
+    if is_elementary_abelian(P, p):
+        return None
+    z = frattini_center_element(P, p)
+    return z, int((z.images == np.arange(z.degree)).sum())

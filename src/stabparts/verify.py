@@ -12,13 +12,14 @@ import numpy as np
 from .affine import named_group, product_action
 from .census import (
     CriterionInapplicable,
+    orbit_size_floor_check,
     prop_certificate,
     randomized_witness_from_z,
     subsets_fixed_count,
     sylow_cover_bound,
 )
 from .classify import (
-    census_histogram,
+    _stabilizing_rows,
     classify_moderation,
     is_p_concealed,
     setwise_stabilizer,
@@ -27,7 +28,7 @@ from .classify import (
 from .perms import Permutation, PointSet, _least_element_of_order, orbits
 from .sylow import (
     all_sylows,
-    frattini_center_element,
+    frattini_center_and_fixed,
     p_part,
     prime_divisors,
 )
@@ -241,25 +242,21 @@ def property_suite(seed: int = 0) -> list[Check]:
             delta = PointSet(G.degree,
                              rng.sample(range(G.degree),
                                         rng.randint(1, G.degree - 1)))
-            lhs = setwise_stabilizer(G, delta.image(g)).elements
+            lhs = elems[_stabilizing_rows(G, delta.image(g))]
             # g^-1 s g maps x to g[s[g^-1[x]]], for every row s of Stab(Delta)
-            S = setwise_stabilizer(G, delta).elements
+            S = elems[_stabilizing_rows(G, delta)]
             rhs = np.unique(g.images[S[:, g.inverse().images]], axis=0)
             ok &= np.array_equal(lhs, rhs)
     out.append(_check("Stab(Delta.g) = g^-1 Stab(Delta) g", ok))
 
     # orbit-size floor for every applicable (P, z)
     ok = True
-    from .census import orbit_size_floor_check
-    from .sylow import is_elementary_abelian
-
     for name, G in zoo:
         for p in prime_divisors(G.order):
             P = sylows[name, p].representative
-            if is_elementary_abelian(P, p):
-                continue
-            z = frattini_center_element(P, p)
-            ok &= orbit_size_floor_check(P, p, z)
+            zf = frattini_center_and_fixed(P, p)
+            if zf is not None:
+                ok &= orbit_size_floor_check(P, p, zf[0])
     out.append(_check("orbits of P meeting supp(z) have size >= p^2", ok))
 
     # concealed implies EXTREME

@@ -15,6 +15,7 @@ from stabparts import (
     subsets_fixed_count,
     sylow_cover_bound,
 )
+from stabparts import census
 from stabparts.census import CriterionInapplicable
 from stabparts.sylow import frattini_center_element, prime_divisors
 
@@ -113,6 +114,15 @@ class TestProp31Certificate:
         assert cert.rhs_power == 16
 
     def test_jxj_inapplicable(self, jxj):
+        with pytest.raises(CriterionInapplicable):
+            prop_certificate(jxj, 3)
+
+    def test_inapplicable_before_counting(self, jxj, monkeypatch):
+        # the elementary-abelian P is refused before N_G(P) counts n_p
+        def refuse(G, H):
+            raise AssertionError("normalizer called for n_p")
+
+        monkeypatch.setattr(census, "normalizer", refuse)
         with pytest.raises(CriterionInapplicable):
             prop_certificate(jxj, 3)
 

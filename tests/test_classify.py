@@ -1,7 +1,9 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from stabparts import (
     PermGroup,
@@ -33,8 +35,10 @@ from stabparts.classify import (
     constructive_candidates,
     exhaustive_p_parts,
 )
+from stabparts.kernels import stabilizer_counts
 from stabparts.perms import ResourceLimit
 from stabparts.sylow import find_sylow, prime_divisors
+from strategies import small_groups
 
 RECIPES = ("translation", "regular-vector", "regular-triple", "metacyclic", "orbit-union")
 
@@ -273,6 +277,29 @@ class TestCensusHistogram:
             for p in prime_divisors(G.order):
                 hist = census_histogram(G, p)
                 assert sum(hist.values()) == 1 << G.degree
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(max_order=720))
+@example(named_group("C4"))
+@example(named_group("Sym(4)"))
+def test_census_matches_element_scan(G):
+    """The histogram, the exhaustive verdict with its least witness and the
+    concealed flag against the element scan kernels.stabilizer_counts."""
+    counts = stabilizer_counts(G.elements, G.degree)
+    for p in prime_divisors(G.order):
+        gp = p_part(G.order, p)
+        parts = [p_part(int(c), p) for c in counts]
+        assert census_histogram(G, p) == dict(sorted(Counter(parts).items()))
+        report = classify_moderation(G, p, "exhaustive")
+        moderate = [mask for mask, part in enumerate(parts) if 1 < part < gp]
+        if moderate:
+            assert report.status == "MODERATE"
+            assert report.witness.mask == moderate[0]
+            assert report.stab_p_part == parts[moderate[0]]
+        else:
+            assert report.status == "EXTREME"
+            assert report.concealed == all(part == gp for part in parts)
 
 
 class TestRegularOrbits:

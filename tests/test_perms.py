@@ -271,12 +271,12 @@ class TestClosure:
 class TestNormalizerCentralizer:
     def test_self_normalizing(self):
         G = named_group("Sym(4)")
-        assert normalizer(G, G).order == G.order
+        assert len(normalizer(G, G)) == G.order
 
     def test_c4_in_s4(self):
         G = named_group("Sym(4)")
         H = G.subgroup([parse_cycles("(0 1 2 3)", 4)])
-        assert normalizer(G, H).order == 8
+        assert len(normalizer(G, H)) == 8
 
     def test_not_a_subgroup(self):
         G = named_group("C4")

@@ -114,6 +114,6 @@ def test_normalizer_centralizer_center_by_definition(G, mask, index):
         keys = {h._key for h in H.iter_elements()}
         expected = _rows(G, lambda x: {(x.inverse() * h * x)._key
                                        for h in H.iter_elements()} == keys)
-        assert np.array_equal(normalizer(G, H).elements, expected)
+        assert np.array_equal(normalizer(G, H), expected)
     expected = _rows(G, lambda x: all(x * y == y * x for y in elems))
-    assert np.array_equal(center(G).elements, expected)
+    assert np.array_equal(center(G), expected)

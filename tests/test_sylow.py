@@ -86,7 +86,7 @@ class TestAllSylows:
             for p in prime_divisors(G.order):
                 data = all_sylows(G, p)
                 N = normalizer(G, data.representative)
-                assert data.count == G.order // N.order
+                assert data.count == G.order // len(N)
 
     def test_sylow_axioms(self, zoo):
         for name, G in zoo.items():
@@ -158,6 +158,20 @@ def test_elementary_abelian_matches_element_definition(G):
         assert is_elementary_abelian(G.subgroup(P.iter_elements()), p) == expected
         if P.order == G.order:
             assert is_elementary_abelian(G, p) == expected
+
+
+def test_sylow_path_builds_no_row_subgroup(zoo, monkeypatch):
+    # normalizers and centers are read as row sets, never built as subgroups
+    def refuse(G, rows, name=None):
+        raise AssertionError("subgroup_from_rows called")
+
+    monkeypatch.setattr(PermGroup, "subgroup_from_rows", refuse)
+    for name, G in zoo.items():
+        for p in prime_divisors(G.order):
+            data = all_sylows(G, p)
+            assert data.count % p == 1, (name, p)
+            if not is_elementary_abelian(data.representative, p):
+                assert frattini_center_element(data.representative, p).order() == p
 
 
 class TestFrattiniCenterElement:
