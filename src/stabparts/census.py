@@ -16,7 +16,6 @@ from .classify import stab_p_part
 from .perms import PermGroup, Permutation, PointSet, normalizer, orbits
 from .sylow import (
     SylowData,
-    all_sylows,
     find_sylow,
     frattini_center_and_fixed,
     p_part,
@@ -53,29 +52,28 @@ class CoverBound:
         }
 
 
-def sylow_cover_bound(G: PermGroup, p: int,
-                      sylow: Optional[SylowData] = None) -> CoverBound:
-    """Union bound over Sylow conjugates on the number of covered subsets.
+def sylow_cover_bound(G: PermGroup, p: int, sylow: SylowData) -> CoverBound:
+    """Union bound over Sylow conjugates on the number of covered subsets,
+    from G's Sylow data (sylow.all_sylows(G, p)).
 
     Orbit counts are conjugation-invariant, so the exact bound is
     n_p * 2^{#orbits(P)} for any one representative.  The coarser bound
     n_p * 2^{f + (n-f)/p^2} needs the central Frattini element z and is
     omitted (None) when P is elementary abelian.
     """
-    data = sylow if sylow is not None else all_sylows(G, p)
-    P = data.representative
+    P = sylow.representative
     r = len(P.orbits())
-    exact = data.count * (1 << r)
+    exact = sylow.count * (1 << r)
     coarse = None
     zf = frattini_center_and_fixed(P, p)
     if zf is not None:
         f, den = zf[1], p * p
         # f + (n - f)/p^2 may be fractional; ceil gives a valid integer bound
         num = f * den + (G.degree - f)
-        coarse = data.count * (1 << ((num + den - 1) // den))
+        coarse = sylow.count * (1 << ((num + den - 1) // den))
         if exact > coarse:  # pragma: no cover - ruled out by the orbit floor
             raise AssertionError("exact union bound exceeded the coarse bound")
-    return CoverBound(data.count, r, exact, coarse)
+    return CoverBound(sylow.count, r, exact, coarse)
 
 
 @dataclass

@@ -11,8 +11,10 @@ of G on all 2^n subsets (_orbit_sizes: stabilizers are counted over the cycle
 unions of G's elements when those number at most 2^n, else orbits are
 labelled from the generators alone).  By orbit-stabilizer
 |Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is fixed by some Sylow
-p-subgroup iff p does not divide |S^G|.  That census is the oracle, read
-through one p-part per distinct orbit size (exhaustive_p_parts).  The
+p-subgroup iff p does not divide |S^G|.  That census is the oracle, read only
+by exhaustive_p_parts, one p-part per distinct orbit size: the histogram sums
+mask counts by p-part, and concealment's least counterexample and the
+exhaustive witness are the least mask whose size has a marked p-part.  The
 constructive strategy first verifies one stream of candidates, the witness
 recipes' and then seeded random subsets, and ends in the census like the
 exhaustive one, so the two can never disagree.  The recipes after
@@ -83,23 +85,20 @@ def stab_p_part(G: PermGroup, delta: PointSet, p: int) -> int:
 def is_p_concealed(G: PermGroup, p: int) -> tuple[bool, Optional[PointSet]]:
     """Whether every subset is stabilized by some Sylow p-subgroup.
 
-    Returns (True, None) or (False, least uncovered subset in mask order).
-    Stab(S) contains a Sylow p-subgroup iff p does not divide |S^G|.
+    Returns (True, None) or (False, the least subset in mask order whose
+    stabilizer p-part is below |G|_p).
     """
-    kernels.check_scan_bits(G.degree)  # before |G|, which can cost far more
-    if p_part(G.order, p) == 1:
-        raise ValueError(f"{p} does not divide |G|")
-    sizes = _orbit_sizes(G)
-    uncovered = np.flatnonzero(sizes % p == 0)
-    if uncovered.size == 0:
+    sizes, _, parts = exhaustive_p_parts(G, p)
+    least = _least_mask(sizes, parts < p_part(G.order, p))
+    if least is None:
         return True, None
-    return False, PointSet.from_mask(G.degree, int(uncovered[0]))
+    return False, PointSet.from_mask(G.degree, least)
 
 
 def _orbit_sizes(G: PermGroup) -> np.ndarray:
     """|S^G| for every subset mask S, by the route the input admits.
 
-    After the MAX_SCAN_BITS check, the cycle-union route
+    The caller has checked MAX_SCAN_BITS.  The cycle-union route
     (kernels.cycle_union_counts, |S^G| = |G| / |Stab(S)|) runs when all
     of these hold:
       * |G| - 1 <= 2^(n-1), since each non-identity element fixes at least
@@ -111,7 +110,6 @@ def _orbit_sizes(G: PermGroup) -> np.ndarray:
     kernels.subset_orbit_sizes, which reads only the generators.
     """
     n = G.degree
-    kernels.check_scan_bits(n)
     if 2 * (G.order - 1) <= 1 << n:
         try:
             counts = kernels.cycle_union_counts(G.elements, n)
@@ -294,23 +292,33 @@ class ModerationReport:
         return dict(vars(self), witness=witness)
 
 
-def exhaustive_p_parts(G: PermGroup, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The census oracle: |S^G| for every subset mask S, and a lookup from each
-    orbit size s to |Stab(S)|_p = (|G| / s)_p, 0 for sizes that no S has."""
+def exhaustive_p_parts(G: PermGroup, p: int) -> tuple[np.ndarray, ...]:
+    """The census oracle (sizes, counts, parts): sizes[S] = |S^G| for every
+    subset mask S, counts[s] the number of masks of orbit size s, and
+    parts[s] = (|G| / s)_p = |Stab(S)|_p, 0 for sizes that do not occur.
+    Raises ResourceLimit past MAX_SCAN_BITS before |G| is computed, then
+    ValueError when p does not divide |G|."""
+    kernels.check_scan_bits(G.degree)  # before |G|, which can cost far more
+    if p_part(G.order, p) == 1:
+        raise ValueError(f"{p} does not divide |G|")
     sizes = _orbit_sizes(G)
-    parts = np.bincount(sizes)
-    present = np.flatnonzero(parts)
+    counts = np.bincount(sizes)
+    parts = np.zeros_like(counts)
+    present = np.flatnonzero(counts)
     parts[present] = [p_part(G.order // int(s), p) for s in present]
-    return sizes, parts
+    return sizes, counts, parts
+
+
+def _least_mask(sizes: np.ndarray, marked: np.ndarray) -> Optional[int]:
+    """The least subset mask whose orbit size is marked, or None."""
+    hits = marked[sizes]
+    least = int(np.argmax(hits))
+    return least if hits[least] else None
 
 
 def census_histogram(G: PermGroup, p: int) -> dict[int, int]:
     """Map from stabilizer p-part value to the number of subsets attaining it."""
-    kernels.check_scan_bits(G.degree)  # before |G|, which can cost far more
-    if p_part(G.order, p) == 1:
-        raise ValueError(f"{p} does not divide |G|")
-    sizes, parts = exhaustive_p_parts(G, p)
-    counts = np.bincount(sizes)
+    _, counts, parts = exhaustive_p_parts(G, p)
     return {v: int(counts[parts == v].sum())
             for v in sorted(set(parts[parts > 0].tolist()))}
 
@@ -376,29 +384,29 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
     n = G.degree
     report = ModerationReport(p, n, order, gp, "EXTREME", strategy=strategy)
 
+    candidates = ()
     if gp == p:
         # no p-power lies strictly between 1 and p: EXTREME by arithmetic
         report.note = "|G|_p = p: moderation is impossible"
-        report.exhaustive = True
-        report.concealed = _concealed_flag(G, p)
-        return report
-
-    candidates = ()
-    if strategy == "constructive":
+    elif strategy == "constructive":
         candidates = chain(constructive_candidates(G, p), _sampled(n, seed))
     for stage, delta in candidates:
         part = _verify_witness(G, delta, p, gp)
         if part is not None:
             return _moderate(report, stage, delta, part)
 
-    sizes, parts = exhaustive_p_parts(G, p)
     report.exhaustive = True
-    moderate = (parts > 1) & (parts < gp)  # per orbit size
-    if moderate.any():
-        least = int(np.argmax(moderate[sizes]))
+    try:
+        sizes, counts, parts = exhaustive_p_parts(G, p)
+    except ResourceLimit:
+        if gp > p:
+            raise
+        return report  # the verdict stands; concealment stays unknown
+    least = _least_mask(sizes, (parts > 1) & (parts < gp))
+    if least is not None:
         return _moderate(report, "exhaustive", PointSet.from_mask(n, least),
                          int(parts[sizes[least]]))
-    report.concealed = bool((parts[parts > 0] == gp).all())
+    report.concealed = bool((parts[counts > 0] == gp).all())
     return report
 
 
@@ -409,11 +417,3 @@ def _moderate(report: ModerationReport, stage: str, witness: PointSet,
     report.witness = witness
     report.stab_p_part = part
     return report
-
-
-def _concealed_flag(G: PermGroup, p: int) -> Optional[bool]:
-    try:
-        concealed, _ = is_p_concealed(G, p)
-    except ResourceLimit:
-        return None
-    return concealed

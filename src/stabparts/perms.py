@@ -439,23 +439,22 @@ class PermGroup:
         """The subgroup whose element table is rows, a subset of self.elements
         that is closed under products and still lexicographically sorted.
 
-        Only a generating set is multiplied out: the least row outside the
-        subgroup generated so far joins the generators, so each one at least
-        doubles the order and there are at most log2|H| of them.
+        The rows are sifted through the subgroup's chain in order while its
+        order is below len(rows): a row that is not yet a member joins the
+        generators, so each one at least doubles the order and there are at
+        most log2|H| of them.  The table is multiplied out once, to check it.
         """
         if rows.shape[0] == self.order:
             return self
         rows.setflags(write=False)
         H = PermGroup(self.degree, (), name=name)
-        keys = _row_keys(rows)
-        generated = rows[:1]  # the identity
-        while generated.shape[0] < rows.shape[0]:
-            outside = np.flatnonzero(~np.isin(keys, _row_keys(generated)))
-            g = Permutation._trusted(rows[outside[0]])
-            H.generators += (g,)
-            H.chain.add_generator(g)
-            generated = H._enumerate()
-        assert np.array_equal(generated, rows), "rows are not a sorted subgroup"
+        for row in rows:
+            if H.order >= rows.shape[0]:
+                break
+            g = Permutation._trusted(row)
+            if H.chain.add_generator(g):
+                H.generators += (g,)
+        assert np.array_equal(H._enumerate(), rows), "rows are not a sorted subgroup"
         H._elements = rows
         return H
 

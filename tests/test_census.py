@@ -4,6 +4,7 @@ import pytest
 
 from stabparts import (
     PointSet,
+    all_sylows,
     find_sylow,
     format_cycles,
     named_group,
@@ -60,7 +61,7 @@ class TestSubsetsFixedCount:
 class TestCoverBound:
     def test_c4(self):
         G = named_group("C4")
-        bound = sylow_cover_bound(G, 2)
+        bound = sylow_cover_bound(G, 2, all_sylows(G, 2))
         # one Sylow (G itself), with a single orbit on the 4 points
         assert bound.sylow_count == 1
         assert bound.exact == 1 * 2
@@ -68,7 +69,7 @@ class TestCoverBound:
         assert bound.exact <= bound.coarse
 
     def test_jxj_coarse_none(self, jxj):
-        bound = sylow_cover_bound(jxj, 3)
+        bound = sylow_cover_bound(jxj, 3, all_sylows(jxj, 3))
         assert bound.coarse is None  # elementary abelian: no z available
         assert bound.sylow_count == 28 * 28
         assert bound.exact == 28 * 28 * (1 << 16)
@@ -84,13 +85,13 @@ class TestCoverBound:
             for mask in range(1 << G.degree)
             if stab_p_part(G, PointSet.from_mask(G.degree, mask), 2) == full
         )
-        bound = sylow_cover_bound(G, 2)
+        bound = sylow_cover_bound(G, 2, all_sylows(G, 2))
         assert covered <= bound.exact
 
     def test_exact_at_most_coarse(self, zoo):
         for name, G in zoo.items():
             for p in prime_divisors(G.order):
-                bound = sylow_cover_bound(G, p)
+                bound = sylow_cover_bound(G, p, all_sylows(G, p))
                 if bound.coarse is not None:
                     assert bound.exact <= bound.coarse, (name, p)
 

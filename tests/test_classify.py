@@ -284,13 +284,18 @@ class TestCensusHistogram:
 @example(named_group("C4"))
 @example(named_group("Sym(4)"))
 def test_census_matches_element_scan(G):
-    """The histogram, the exhaustive verdict with its least witness and the
-    concealed flag against the element scan kernels.stabilizer_counts."""
+    """The histogram, the exhaustive verdict with its least witness, the
+    concealed flag and is_p_concealed's least counterexample against the
+    element scan kernels.stabilizer_counts."""
     counts = stabilizer_counts(G.elements, G.degree)
     for p in prime_divisors(G.order):
         gp = p_part(G.order, p)
         parts = [p_part(int(c), p) for c in counts]
         assert census_histogram(G, p) == dict(sorted(Counter(parts).items()))
+        uncovered = [mask for mask, part in enumerate(parts) if part < gp]
+        concealed, least = is_p_concealed(G, p)
+        assert concealed == (not uncovered)
+        assert least == (PointSet.from_mask(G.degree, uncovered[0]) if uncovered else None)
         report = classify_moderation(G, p, "exhaustive")
         moderate = [mask for mask, part in enumerate(parts) if 1 < part < gp]
         if moderate:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stabparts import (
     PermGroup,
+    Permutation,
     PointSet,
     named_group,
     normalizer,
@@ -16,8 +17,9 @@ from stabparts import (
 )
 from stabparts.classify import _stabilizing_rows
 from stabparts.kernels import subset_orbit_sizes
+from stabparts.perms import StabilizerChain
 from stabparts.sylow import center
-from strategies import small_groups
+from strategies import closure, small_groups
 
 masks = st.integers(0, (1 << 8) - 1)
 indices = st.integers(0, 10**6)
@@ -90,6 +92,44 @@ def test_few_generators_regenerate_the_rows(G, mask):
     assert np.array_equal(PermGroup(G.degree, H.generators).elements, H.elements)
     if H is not G:  # all of G's rows give back G with its own generators
         assert 1 << len(H.generators) <= H.order
+
+
+def _least_rows_outside(degree, rows):
+    """Generators chosen one at a time: the least row outside the group that
+    the earlier ones generate, by the brute-force closure."""
+    gens = []
+    generated = {tuple(range(degree))}
+    while len(generated) < len(rows):
+        row = next(r for r in map(tuple, rows.tolist()) if r not in generated)
+        gens.append(list(row))
+        generated = set(closure(PermGroup(degree, map(Permutation, gens))))
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(max_order=5040), masks)
+@example(named_group("AGL(1,5)"), 0b00011)
+@example(named_group("Sym(4)"), 0b0001)
+def test_generators_are_the_least_rows_outside(G, mask):
+    S = _subset(G, mask)
+    rows = _rows(G, lambda g: S.image(g) == S)
+    H = G.subgroup_from_rows(rows)
+    if H is not G:
+        assert [g.images.tolist() for g in H.generators] == _least_rows_outside(G.degree, rows)
+
+
+def test_rows_that_are_not_closed_are_refused(monkeypatch):
+    G = PermGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
+    e, a, b = [0, 1, 2], [1, 2, 0], [2, 1, 0]  # ord(a) = 3, b not in <a>
+    with pytest.raises(AssertionError):
+        G.subgroup_from_rows(np.array([e, a], dtype=np.int32))
+    sifted = []
+    add = StabilizerChain.add_generator
+    monkeypatch.setattr(StabilizerChain, "add_generator",
+                        lambda chain, g: sifted.append(g) or add(chain, g))
+    with pytest.raises(AssertionError):
+        G.subgroup_from_rows(np.array([e, a, b], dtype=np.int32))
+    assert [g.images.tolist() for g in sifted] == [e, a]  # |<a>| = 3 rows: b is not read
 
 
 @settings(max_examples=40, deadline=None)
