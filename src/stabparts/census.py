@@ -129,8 +129,9 @@ def prop_certificate(G: PermGroup, p: int) -> CountingCertificate:
     if (n - f) % p != 0:  # pragma: no cover - z has order p
         raise AssertionError("non-fixed points of z must fall in p-cycles")
     count = G.order // len(normalizer(G, P))  # n_p = |G : N_G(P)|
-    verdict = count ** (p * p) < (1 << ((n - f) * (p - 1)))
-    return CountingCertificate(p, n, z, f, count, verdict)
+    cert = CountingCertificate(p, n, z, f, count, verdict=False)
+    cert.verdict = cert.lhs_power < cert.rhs_power
+    return cert
 
 
 def orbit_size_floor_check(P: PermGroup, p: int, z: Permutation) -> bool:
@@ -163,7 +164,7 @@ def randomized_witness_from_z(
     independent.  Returns the first subset whose stabilizer p-part is
     strictly below |G|_p (it is at least p, since z stabilizes it), else None.
     """
-    if z.order() % p != 0 or p_part(z.order(), p) != z.order() or z.order() == 1:
+    if (order := z.order()) == 1 or p_part(order, p) != order:
         raise ValueError("z must be a nontrivial p-element")
     gp = p_part(G.order, p)
     zorbits = orbits([z], G.degree)

@@ -18,10 +18,12 @@ exhaustive witness are the least mask whose size has a marked p-part.  The
 constructive strategy first verifies one stream of candidates, the witness
 recipes' and then seeded random subsets, and ends in the census like the
 exhaustive one, so the two can never disagree.  The recipes after
-translation_witness read the linear part H = Stab_G(0), built once per
-classification, through its element table.  Witness constructors are
-candidate generators only: the verifier (stab_p_part, which filters the
-element rows point by point over Delta or its complement) alone accepts them.
+translation_witness read the linear part H = Stab_G(0), conjugated off G's
+stabilizer chain once per classification: the regular vector comes from H's
+orbits, and only the recipes after it read H's element table.  Witness
+constructors are candidate generators only: the verifier (stab_p_part, which
+filters the element rows point by point over Delta or its complement) alone
+accepts them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import kernels
 from .affine import AffineSpec
 from .perms import (PermGroup, PointSet, ResourceLimit, _least_element_of_order,
-                    _order_p_rows, centralizing_rows, orbits)
+                    _order_p_rows, centralizing_rows, orbits, point_stabilizer_of_zero)
 from .sylow import p_part
 
 SAMPLING_TRIALS = 200
@@ -121,7 +123,7 @@ def _orbit_sizes(G: PermGroup) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The linear part H, read from its element table
+# The linear part H: its orbits, then its element table
 # ---------------------------------------------------------------------------
 #
 # H.elements is lexicographically sorted, so row 0 is the identity and
@@ -129,11 +131,9 @@ def _orbit_sizes(G: PermGroup) -> np.ndarray:
 
 
 def regular_orbit_vector(H: PermGroup) -> Optional[int]:
-    """Least point with trivial H-stabilizer, or None."""
-    # point x is regular iff no non-identity row fixes it
-    moved = (H.elements[1:] != np.arange(H.degree)).all(axis=0)
-    free = np.flatnonzero(moved)
-    return int(free[0]) if free.size else None
+    """Least point with trivial H-stabilizer, or None: by orbit-stabilizer,
+    the least point of the first H-orbit of length |H|."""
+    return next((orbit[0] for orbit in H.orbits() if len(orbit) == H.order), None)
 
 
 def regular_orbit_pair(H: PermGroup) -> Optional[tuple[int, int]]:
@@ -167,12 +167,6 @@ def _affine_spec(G: PermGroup) -> AffineSpec:
     if G.affine is None:
         raise ConstructorInapplicable("group was not built from an affine spec")
     return G.affine
-
-
-def point_stabilizer_of_zero(G: PermGroup) -> PermGroup:
-    """The linear part H = Stab_G(0) of an affine group."""
-    rows = G.elements[_stabilizing_rows(G, PointSet(G.degree, [0]))]
-    return G.subgroup_from_rows(rows, name="H")
 
 
 def translation_witness(G: PermGroup, p: int) -> PointSet:
@@ -332,18 +326,15 @@ def _verify_witness(G: PermGroup, delta: PointSet, p: int,
 def constructive_candidates(G: PermGroup, p: int) -> Iterator[tuple[str, PointSet]]:
     """The recipes' candidates as (stage, Delta), in recipe order.
 
-    H = Stab_G(0) is built once, and only when the translation candidate
-    has not decided and G has an affine spec; the other recipes read it.
-    A recipe whose preconditions fail, or that hits a ResourceLimit, gives
-    no candidate.
+    H = Stab_G(0) is built from G's chain once, and only when the
+    translation candidate has not decided and G has an affine spec; the
+    other recipes read it.  A recipe whose preconditions fail, or that hits
+    a ResourceLimit, gives no candidate.
     """
     yield from _recipe("translation", lambda: [translation_witness(G, p)])
     if G.affine is None:
         return
-    try:
-        H = point_stabilizer_of_zero(G)
-    except ResourceLimit:
-        return
+    H = point_stabilizer_of_zero(G)
     yield from _recipe("regular-vector", lambda: [regular_vector_witness(G, p, H)])
     if p == 2:
         yield from _recipe("regular-triple", lambda: [p2_regular_witness(G, p, H)])

@@ -530,54 +530,57 @@ def _least_element_of_order(H: PermGroup, p: int) -> Optional[Permutation]:
 
 
 # ---------------------------------------------------------------------------
-# Blocks / primitivity
+# Point stabilizers, blocks and primitivity, read off the stabilizer chain
 # ---------------------------------------------------------------------------
 
 
-def _block_system_from_seed(gens: Sequence[Permutation], degree: int,
-                            a: int, b: int) -> list[list[int]]:
-    """Finest G-invariant partition with a, b in one block (union-find)."""
-    parent = list(range(degree))
+def point_stabilizer_of_zero(G: PermGroup) -> PermGroup:
+    """The linear part H = Stab_G(0) of an affine group, read off the chain.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    queue = [(a, b)]
-    ra, rb = find(a), find(b)
-    parent[rb] = ra
-    while queue:
-        x, y = queue.pop()
-        for g in gens:
-            gx, gy = find(int(g.images[x])), find(int(g.images[y]))
-            if gx != gy:
-                parent[gy] = gx
-                queue.append((gx, gy))
-    blocks: dict[int, list[int]] = {}
-    for x in range(degree):
-        blocks.setdefault(find(x), []).append(x)
-    return sorted((sorted(blk) for blk in blocks.values()), key=lambda blk: blk[0])
+    The strong generators of depth >= 1 generate G_b, b the first base
+    point; conjugating each by the level-0 representative u with b^u = 0
+    gives generators of G_0 = u^-1 G_b u.  Any G with 0 in the orbit of b
+    will do; for other groups this raises ValueError.
+    """
+    levels = G.chain.levels
+    if not levels:
+        return PermGroup(G.degree, (), name="H")
+    if 0 not in levels[0].transversal:
+        raise ValueError("0 is not in the orbit of the first base point")
+    u, u_inv = levels[0].transversal[0], levels[0].inverses[0]
+    gens = (u_inv * s * u for s, depth in G.chain.strong if depth >= 1)
+    return PermGroup(G.degree, gens, name="H")
 
 
 def primitivity_blocks(G: PermGroup) -> Optional[list[list[int]]]:
-    """A minimal nontrivial block system, or None when G is primitive.
+    """The block system of the least beta whose finest system with 0 ~ beta
+    is nontrivial, or None when G is primitive.
 
-    Seeds (0, beta) are tried for beta = 1, 2, ...; the first nontrivial
-    system found is returned, so output is deterministic.
+    Blocks containing 0 are the orbits of 0 under the subgroups between G_0
+    and G, so the least block holding 0 and beta is the orbit of 0 under
+    <G_0, h> for any h with 0^h = beta.  Seeds in one G_0-orbit give one
+    system: one beta per G_0-orbit is tried, least first.
     """
     if not G.is_transitive():
         raise ValueError("block search requires a transitive group")
     n = G.degree
     if n == 1:
         return None
-    for beta in range(1, n):
-        system = _block_system_from_seed(G.generators, n, 0, beta)
-        size = len(system[0])
-        if 1 < size < n:
-            return system
-    return None
+    top = G.chain.levels[0]  # top.inverses[0] * top.transversal[x] takes 0 to x
+    stab = point_stabilizer_of_zero(G).generators
+    for orbit in orbits(stab, n)[1:]:
+        block = orbits(stab + (top.inverses[0] * top.transversal[orbit[0]],), n)[0]
+        if len(block) < n:
+            break
+    else:
+        return None
+    system, covered = [], np.zeros(n, dtype=bool)
+    for x in range(n):  # the least uncovered point starts the next block
+        if not covered[x]:
+            image = np.sort((top.inverses[0] * top.transversal[x]).images[block])
+            covered[image] = True
+            system.append(image.tolist())
+    return system
 
 
 def is_primitive(G: PermGroup) -> bool:

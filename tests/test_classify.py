@@ -27,7 +27,7 @@ from stabparts import (
     translation_witness,
 )
 from stabparts.affine import AffineSpec, SemilinearGen, build_affine
-from stabparts import classify
+from stabparts import classify, perms
 from stabparts.classify import (
     ConstructorInapplicable,
     _least_element_of_order,
@@ -499,11 +499,10 @@ class TestCandidateStream:
             assert len(built) == expected, (p, report.stage)
 
     def test_resource_limit_on_h_skips_its_recipes(self, monkeypatch):
-        def refuse(G):
-            raise ResourceLimit("refused")
-
-        monkeypatch.setattr(classify, "point_stabilizer_of_zero", refuse)
         G = named_group("AGL(2,3)")
+        G.elements  # |G| = 432: built before the bound drops below it
+        H_bytes = point_stabilizer_of_zero(G).order * G.degree * 4
+        monkeypatch.setattr(perms, "MAX_TABLE_BYTES", H_bytes - 1)
         assert list(constructive_candidates(G, 2)) == []  # translation needs p = 3
         report = classify_moderation(G, 2)
         assert report.status == "MODERATE" and report.stage not in RECIPES
@@ -541,6 +540,15 @@ class TestTablesMatchElementLoops:
             mask = _order_p_rows(H.elements, p)
             assert mask.tolist() == [g.order() == p for g in H.iter_elements()]
             assert _least_element_of_order(H, p) == _least_of_order_by_loop(H, p)
+
+    @pytest.mark.parametrize("name", AFFINE)
+    def test_h_and_regular_vector_match_g_table(self, name):
+        G = named_group(name)
+        H = point_stabilizer_of_zero(G)
+        zero = PointSet(G.degree, [0])
+        assert np.array_equal(H.elements, G.elements[classify._stabilizing_rows(G, zero)])
+        free = np.flatnonzero((H.elements[1:] != np.arange(G.degree)).all(axis=0))
+        assert regular_orbit_vector(H) == (int(free[0]) if free.size else None)
 
     @pytest.mark.parametrize("name", AFFINE)
     def test_metacyclic_choice(self, name):

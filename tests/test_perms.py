@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stabparts import (
@@ -15,10 +15,13 @@ from stabparts import (
     compose,
     element_order,
     format_cycles,
+    group_from_document,
+    is_primitive,
     named_group,
     normalizer,
     orbits,
     parse_cycles,
+    point_stabilizer_of_zero,
     primitivity_blocks,
     product_action,
 )
@@ -315,6 +318,91 @@ class TestBlocks:
         assert len(sizes) == 1
         size = sizes.pop()
         assert 1 < size < 6 and 6 % size == 0
+
+
+def _blocks_by_definition(G):
+    """The block system of the least beta whose least block holding 0 and
+    beta is proper, grown from the definition: B takes in each image B^g,
+    over all elements g, that meets B without being B."""
+    elements = closure(G)
+    for beta in range(1, G.degree):
+        block = {0, beta}
+        grown = True
+        while grown:
+            grown = False
+            for g in elements:
+                image = {g[x] for x in block}
+                if image & block and image != block:
+                    block |= image
+                    grown = True
+        if len(block) < G.degree:
+            return sorted(sorted(b) for b in {frozenset(g[x] for x in block) for g in elements})
+    return None
+
+
+def _block_preserving_group(seed):
+    """Random generators that preserve a partition into b blocks of size a,
+    the points relabelled at random."""
+    rng = random.Random(seed)
+    a, b = rng.choice([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
+    n = a * b
+    label = rng.sample(range(n), n)  # position j of block i is point label[i * a + j]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        tops = rng.sample(range(b), b)
+        images = [0] * n
+        for i in range(b):
+            within = rng.sample(range(a), a)
+            for j in range(a):
+                images[label[i * a + j]] = label[tops[i] * a + within[j]]
+        gens.append(Permutation(images))
+    return PermGroup(n, gens)
+
+
+def _shift(d):
+    return [[int(j == (i + 1) % d) for j in range(d)] for i in range(d)]
+
+
+def _transvection(d):
+    return [[int(i == j or (i, j) == (0, 1)) for j in range(d)] for i in range(d)]
+
+
+class TestBlocksFromTheChain:
+    @settings(max_examples=80, deadline=None)
+    @given(small_groups(max_order=720))
+    def test_matches_definition(self, G):
+        assume(G.is_transitive())
+        assert primitivity_blocks(G) == _blocks_by_definition(G)
+
+    def test_relabelled_imprimitive_groups_match_definition(self):
+        groups = [G for G in map(_block_preserving_group, range(150)) if G.is_transitive()]
+        assert len(groups) > 50
+        # the first base point is not always 0, so G_0 is a conjugate of G_b
+        assert any(G.chain.levels[0].base_point != 0 for G in groups)
+        for G in groups:
+            system = primitivity_blocks(G)
+            assert system is not None and system == _blocks_by_definition(G)
+
+    def test_agl34_h_without_g_table(self):
+        # |G| = 64 * 181440: G's table would take 2.97 GB, H = GL(3,4) is built
+        G = group_from_document({"affine": {"p": 2, "k": 2, "dim": 3, "generators": [
+            {"matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]},  # 2 is the field's x
+            {"matrix": _shift(3)}, {"matrix": _transvection(3)}]}})
+        with pytest.raises(ResourceLimit):
+            G.elements
+        assert point_stabilizer_of_zero(G).order == 181440
+        assert is_primitive(G)
+
+    def test_agl62_has_no_blocks(self):
+        # GL(6,2) from a cyclic coordinate shift and one transvection
+        G = group_from_document({"affine": {"p": 2, "k": 1, "dim": 6, "generators": [
+            {"matrix": _shift(6)}, {"matrix": _transvection(6)}]}})
+        assert G.degree == 64 and primitivity_blocks(G) is None
+
+    def test_stabilizer_needs_zero_in_the_first_base_orbit(self):
+        G = PermGroup.from_cycles(3, ["(1 2)"])
+        with pytest.raises(ValueError, match="orbit of the first base point"):
+            point_stabilizer_of_zero(G)
 
 
 class TestProductAction:
