@@ -12,13 +12,14 @@ sigma: x -> x^(p^e) applied entrywise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .fields import MAX_Q, FiniteField, build_field
+from .fields import MAX_Q, FiniteField, build_field, prime_divisors
 from .perms import MAX_DEGREE, PermGroup, Permutation, ResourceLimit, parse_cycles
 
 
@@ -204,16 +205,10 @@ def _split_top_level(s: str) -> tuple[str, str]:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise ValueError("not a prime power")
-            return p, k
-    raise ValueError("not a prime power")
+    primes = prime_divisors(q)
+    if len(primes) != 1:
+        raise ValueError("not a prime power")
+    return primes[0], round(math.log(q, primes[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .classify import stab_p_part
 from .perms import PermGroup, Permutation, PointSet, normalizer, orbits
-from .sylow import (
-    SylowData,
-    find_sylow,
-    frattini_center_and_fixed,
-    p_part,
-)
+from .sylow import SylowData, find_sylow, frattini_center_element, p_part
 
 
 class CriterionInapplicable(ValueError):
@@ -65,9 +62,9 @@ def sylow_cover_bound(G: PermGroup, p: int, sylow: SylowData) -> CoverBound:
     r = len(P.orbits())
     exact = sylow.count * (1 << r)
     coarse = None
-    zf = frattini_center_and_fixed(P, p)
-    if zf is not None:
-        f, den = zf[1], p * p
+    z = frattini_center_element(P, p)
+    if z is not None:
+        f, den = int(np.count_nonzero(z.images == np.arange(G.degree))), p * p
         # f + (n - f)/p^2 may be fractional; ceil gives a valid integer bound
         num = f * den + (G.degree - f)
         coarse = sylow.count * (1 << ((num + den - 1) // den))
@@ -116,16 +113,14 @@ def prop_certificate(G: PermGroup, p: int) -> CountingCertificate:
     Requires a non-elementary-abelian Sylow p-subgroup P, checked before n_p
     is counted, for the witness element z of order p in Phi(P) & Z(P).
     """
-    if p_part(G.order, p) == 1:
-        raise ValueError(f"{p} does not divide |G| = {G.order}")
     P = find_sylow(G, p)
-    zf = frattini_center_and_fixed(P, p)
-    if zf is None:
+    z = frattini_center_element(P, p)
+    if z is None:
         raise CriterionInapplicable(
             "Sylow p-subgroup is elementary abelian; the criterion is silent"
         )
-    z, f = zf
     n = G.degree
+    f = int(np.count_nonzero(z.images == np.arange(n)))
     if (n - f) % p != 0:  # pragma: no cover - z has order p
         raise AssertionError("non-fixed points of z must fall in p-cycles")
     count = G.order // len(normalizer(G, P))  # n_p = |G : N_G(P)|

@@ -49,12 +49,11 @@ def _load_group(spec_file: str) -> tuple[dict, PermGroup]:
 
 
 def _summary(G: PermGroup) -> dict:
-    transitive = G.is_transitive()
     return {
         "degree": G.degree,
         "order": G.order,
-        "transitive": transitive,
-        "primitive": is_primitive(G) if transitive else False,
+        "transitive": G.is_transitive(),
+        "primitive": is_primitive(G),
     }
 
 

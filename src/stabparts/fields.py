@@ -31,15 +31,23 @@ _MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def prime_divisors(n: int) -> list[int]:
+    """The primes dividing n, ascending, by trial division; [] for n < 2."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return prime_divisors(n) == [n]
 
 
 class FiniteField:

@@ -109,8 +109,7 @@ def stabilizer_counts(elems: np.ndarray, n: int) -> np.ndarray:
     the image of every mask is built with n shifted ORs; equality marks the
     masks that element stabilizes.  Cost 2^n * n * |G|.
     """
-    if n > MAX_SCAN_BITS:
-        raise ValueError(f"degree {n} exceeds MAX_SCAN_BITS = {MAX_SCAN_BITS}")
+    check_scan_bits(n)
     total = np.int64(1) << n
     masks = np.arange(total, dtype=np.int64)
     counts = np.zeros(total, dtype=np.int64)

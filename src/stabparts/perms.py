@@ -350,8 +350,10 @@ class StabilizerChain:
 class PermGroup:
     """A group of permutations of {0..n-1} given by generators.
 
-    Immutable after construction; the stabilizer chain and element table are
-    cached with single-assignment semantics, so shared read-only use is safe.
+    The stabilizer chain and element table are cached with single-assignment
+    semantics, so shared read-only use is safe.  The one exception is grow,
+    which adds a generator in place: it is only for a group that is still
+    being built and not yet shared.
     """
 
     def __init__(
@@ -432,6 +434,15 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)
 
+    def grow(self, g: Permutation) -> bool:
+        """Add g to the generators and extend the chain by it, dropping any
+        cached element table; False, with nothing changed, when g is a member."""
+        if not self.chain.add_generator(g):
+            return False
+        self.generators += (g,)
+        self._elements = None
+        return True
+
     def subgroup(self, gens: Iterable[Permutation], name: Optional[str] = None) -> "PermGroup":
         return PermGroup(self.degree, gens, name=name)
 
@@ -451,9 +462,7 @@ class PermGroup:
         for row in rows:
             if H.order >= rows.shape[0]:
                 break
-            g = Permutation._trusted(row)
-            if H.chain.add_generator(g):
-                H.generators += (g,)
+            H.grow(Permutation._trusted(row))
         assert np.array_equal(H._enumerate(), rows), "rows are not a sorted subgroup"
         H._elements = rows
         return H
@@ -464,7 +473,9 @@ class PermGroup:
         return orbits(self.generators, self.degree)
 
     def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
+        """The chain's level 0 holds the orbit of the first base point."""
+        levels = self.chain.levels
+        return len(levels[0].transversal) == self.degree if levels else self.degree == 1
 
     def __repr__(self) -> str:
         label = self.name or f"{len(self.generators)} gens"

@@ -1,32 +1,19 @@
 """Sylow p-subgroups and the p-structure predicates used by the classifier.
 
-Sylow subgroups are grown from element tables, of which normalizers and
-centers are the selected sorted rows; the Frattini subgroup is grown in a
-stabilizer chain.  Results are exact and brute-force checkable by construction.
+A Sylow subgroup P grows in place, one element of its normalizer's sorted
+rows at a time, and the Frattini subgroup grows in its own chain.  The
+element z of the counting criterion is the least row of Phi(P)'s table of
+order p that commutes with P.  Results are exact and brute-force checkable
+by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Optional
 
 from .fields import is_prime
 from .perms import PermGroup, Permutation, _order_p_rows, centralizing_rows, normalizer
-
-
-def prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def p_part(n: int, p: int) -> int:
@@ -69,7 +56,8 @@ def _least_p_element(G: PermGroup, p: int) -> Permutation:
 
 
 def find_sylow(G: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup of G, grown inside successive normalizers."""
+    """A Sylow p-subgroup of G, grown in place by the least p-element of
+    each successive normalizer that is not yet a member."""
     target = p_part(G.order, p)
     if target == 1:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
@@ -77,8 +65,7 @@ def find_sylow(G: PermGroup, p: int) -> PermGroup:
     while P.order < target:
         for g in map(Permutation._trusted, normalizer(G, P)):
             ordg = g.order()
-            if ordg > 1 and p_part(ordg, p) == ordg and g not in P:
-                P = G.subgroup(list(P.generators) + [g], name=f"Sylow_{p}")
+            if ordg > 1 and p_part(ordg, p) == ordg and P.grow(g):
                 break
         else:  # pragma: no cover - impossible by Sylow theory
             raise AssertionError("Sylow extension step failed")
@@ -110,8 +97,8 @@ def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
     generators' p-th powers and pairwise commutators, since P modulo that
     closure is generated by commuting elements of order p.
 
-    One stabilizer chain grows: each element that does not sift through it
-    joins the generators, and its conjugates by P's generators are queued.
+    One subgroup grows: each element that is not yet a member joins the
+    generators, and its conjugates by P's generators are queued.
     When the queue is empty, the conjugates of every generator are members,
     so the subgroup is normal.
     """
@@ -124,34 +111,18 @@ def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
                 for i, a in enumerate(gens) for b in gens[i + 1:]]
     while pending:
         h = pending.pop()
-        if phi.chain.add_generator(h):
-            phi.generators += (h,)
+        if phi.grow(h):
             pending += [g.inverse() * h * g for g in gens]
     return phi
 
 
-def center(P: PermGroup) -> np.ndarray:
-    """Z(P): the rows of P.elements, still sorted, that commute with P's generators."""
-    E = P.elements
-    return E[centralizing_rows(E, P.generators)]
+def frattini_center_element(P: PermGroup, p: int) -> Optional[Permutation]:
+    """The least element of order p of Phi(P) & Z(P), read off Phi(P)'s
+    table; None when P is elementary abelian, i.e. when Phi(P) = 1.
 
-
-def frattini_center_element(P: PermGroup, p: int) -> Permutation:
-    """Least order-p element of Phi(P) & Z(P); errors when P is elementary abelian."""
-    if is_elementary_abelian(P, p):
-        raise ValueError("P is elementary abelian; no Frattini-center element")
-    phi = frattini_subgroup(P, p)
-    Z = center(P)
-    for g in map(Permutation._trusted, Z[_order_p_rows(Z, p)]):
-        if g in phi:
-            return g
-    raise AssertionError("nontrivial Frattini-center element must exist")
-
-
-def frattini_center_and_fixed(P: PermGroup, p: int) -> tuple[Permutation, int] | None:
-    """(z, f): frattini_center_element(P, p) and its number f of fixed
-    points, or None when P is elementary abelian and has no such z."""
-    if is_elementary_abelian(P, p):
-        return None
-    z = frattini_center_element(P, p)
-    return z, int((z.images == np.arange(z.degree)).sum())
+    Otherwise Phi(P) is a nontrivial normal subgroup of the p-group P, so it
+    meets Z(P) in an element of order p.
+    """
+    E = frattini_subgroup(P, p).elements
+    rows = E[_order_p_rows(E, p) & centralizing_rows(E, P.generators)]
+    return Permutation._trusted(rows[0]) if rows.size else None

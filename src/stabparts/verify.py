@@ -25,13 +25,9 @@ from .classify import (
     setwise_stabilizer,
     stab_p_part,
 )
+from .fields import prime_divisors
 from .perms import Permutation, PointSet, _least_element_of_order, orbits
-from .sylow import (
-    all_sylows,
-    frattini_center_and_fixed,
-    p_part,
-    prime_divisors,
-)
+from .sylow import all_sylows, frattini_center_element, p_part
 
 ZOO_NAMES = (
     "D6",
@@ -254,9 +250,9 @@ def property_suite(seed: int = 0) -> list[Check]:
     for name, G in zoo:
         for p in prime_divisors(G.order):
             P = sylows[name, p].representative
-            zf = frattini_center_and_fixed(P, p)
-            if zf is not None:
-                ok &= orbit_size_floor_check(P, p, zf[0])
+            z = frattini_center_element(P, p)
+            if z is not None:
+                ok &= orbit_size_floor_check(P, p, z)
     out.append(_check("orbits of P meeting supp(z) have size >= p^2", ok))
 
     # concealed implies EXTREME

@@ -25,11 +25,8 @@ from stabparts import (
     subsets_fixed_count,
 )
 from stabparts.census import CriterionInapplicable
-from stabparts.sylow import (
-    frattini_center_element,
-    is_elementary_abelian,
-    prime_divisors,
-)
+from stabparts.fields import prime_divisors
+from stabparts.sylow import frattini_center_element, is_elementary_abelian
 
 import functools
 import sys

@@ -18,7 +18,8 @@ from stabparts import (
 )
 from stabparts import census
 from stabparts.census import CriterionInapplicable
-from stabparts.sylow import frattini_center_element, prime_divisors
+from stabparts.fields import prime_divisors
+from stabparts.sylow import frattini_center_element
 
 
 class TestSubsetsFixedCount:

@@ -37,7 +37,8 @@ from stabparts.classify import (
 )
 from stabparts.kernels import stabilizer_counts
 from stabparts.perms import ResourceLimit
-from stabparts.sylow import find_sylow, prime_divisors
+from stabparts.fields import prime_divisors
+from stabparts.sylow import find_sylow
 from strategies import small_groups
 
 RECIPES = ("translation", "regular-vector", "regular-triple", "metacyclic", "orbit-union")

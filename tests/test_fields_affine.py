@@ -10,11 +10,12 @@ from stabparts import build_field, named_group, parse_cycles, PermGroup
 from stabparts.affine import (
     AffineSpec,
     SemilinearGen,
+    _factor_prime_power,
     build_affine,
     group_from_document,
     product_action,
 )
-from stabparts.fields import _MODULI, is_prime
+from stabparts.fields import _MODULI, is_prime, prime_divisors
 
 
 ALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
@@ -22,6 +23,25 @@ ALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
               (3, 2), (3, 3), (5, 2), (7, 2)]
 # every field build_field supports: the fixed moduli and the primes up to 64
 SUPPORTED_FIELDS = sorted(set(_MODULI) | {(p, 1) for p in range(2, 65) if is_prime(p)})
+
+
+def test_prime_helpers_match_definitions():
+    # primes by a sieve; the prime powers p^k, k >= 1, by repeated multiplication
+    top = 4100
+    sieve = [n >= 2 for n in range(top + 1)]
+    for d in range(2, top + 1):
+        for m in range(2 * d, top + 1, d):
+            sieve[m] = False
+    primes = [d for d in range(top + 1) if sieve[d]]
+    powers = {p**k: (p, k) for p in primes for k in range(1, 13) if p**k <= top}
+    for n in range(top + 1):
+        assert prime_divisors(n) == ([d for d in primes if n % d == 0] if n else []), n
+        assert is_prime(n) == sieve[n], n
+        if n in powers:
+            assert _factor_prime_power(n) == powers[n], n
+        else:
+            with pytest.raises(ValueError):
+                _factor_prime_power(n)
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS)

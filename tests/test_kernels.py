@@ -17,6 +17,7 @@ from stabparts import (
     setwise_stabilizer,
 )
 from stabparts.classify import _orbit_sizes
+from stabparts.fields import prime_divisors
 from stabparts.kernels import (
     MAX_SCAN_BITS,
     cycle_union_counts,
@@ -24,7 +25,6 @@ from stabparts.kernels import (
     stabilizer_counts,
     subset_orbit_sizes,
 )
-from stabparts.sylow import prime_divisors
 from strategies import small_groups
 
 
@@ -48,7 +48,7 @@ class TestStabilizerCounts:
 
     def test_scan_bound_enforced(self):
         G = named_group("C4")
-        with pytest.raises(ValueError):
+        with pytest.raises(ResourceLimit):
             stabilizer_counts(G.elements, MAX_SCAN_BITS + 1)
 
     def test_identity_group(self):

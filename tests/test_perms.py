@@ -231,6 +231,40 @@ def test_chain_ignores_how_the_group_is_generated(G, rnd):
     assert np.array_equal(H.elements, G.elements)
 
 
+def _chain_state(G):
+    return ([(lvl.base_point, {x: u.images.tolist() for x, u in lvl.transversal.items()})
+             for lvl in G.chain.levels],
+            [(s.images.tolist(), depth) for s, depth in G.chain.strong])
+
+
+class TestGrow:
+    def test_member_changes_nothing(self):
+        G = named_group("Sym(4)")
+        table, chain, gens, state = G.elements, G.chain, G.generators, _chain_state(G)
+        for g in [parse_cycles("(0 1)(2 3)", 4), Permutation.identity(4)] + list(gens):
+            assert G.grow(g) is False
+        assert G.generators == gens and G.chain is chain and _chain_state(G) == state
+        assert G._elements is table
+
+    def test_non_member_drops_the_table(self):
+        G = PermGroup.from_cycles(4, ["(0 1 2 3)"])
+        assert G.elements.shape == (4, 4)
+        g = parse_cycles("(1 3)", 4)
+        assert G.grow(g) is True
+        assert G._elements is None and G.generators[-1] == g
+        assert np.array_equal(G.elements, PermGroup(4, G.generators).elements)
+        assert G.order == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(max_order=5040))
+@example(PermGroup.trivial(1))
+@example(PermGroup.trivial(2))
+@example(PermGroup.trivial(5))
+def test_transitive_from_the_chain(G):
+    assert G.is_transitive() == (len(G.orbits()) == 1)
+
+
 class TestOrbits:
     def test_frobenius_on_gf8(self):
         from stabparts import build_field

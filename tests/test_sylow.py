@@ -16,7 +16,8 @@ from stabparts import (
     parse_cycles,
     prop_certificate,
 )
-from stabparts.sylow import frattini_subgroup, prime_divisors
+from stabparts.fields import prime_divisors
+from stabparts.sylow import frattini_subgroup
 from strategies import closure, small_groups
 
 
@@ -53,6 +54,25 @@ class TestFindSylow:
         for name, G in zoo.items():
             for p in prime_divisors(G.order):
                 assert find_sylow(G, p).order == p_part(G.order, p), (name, p)
+
+
+def _base_and_table(G):
+    return [lvl.base_point for lvl in G.chain.levels], G.elements.tolist()
+
+
+def test_sylow_grown_in_place_equals_rebuilt(zoo):
+    for name, G in zoo.items():
+        for p in prime_divisors(G.order):
+            P = find_sylow(G, p)
+            assert _base_and_table(P) == _base_and_table(PermGroup(G.degree, P.generators))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(max_order=720))
+def test_sylow_grown_in_place_equals_rebuilt_on_small_groups(G):
+    for p in prime_divisors(G.order):
+        P = find_sylow(G, p)
+        assert _base_and_table(P) == _base_and_table(PermGroup(G.degree, P.generators))
 
 
 class TestAllSylows:
@@ -193,10 +213,9 @@ class TestFrattiniCenterElement:
         assert z in (g**3, g**6)
         assert z.order() == 3
 
-    def test_elementary_abelian_rejected(self):
+    def test_elementary_abelian_gives_none(self):
         P = find_sylow(named_group("Product(D6,D6)"), 2)
-        with pytest.raises(ValueError):
-            frattini_center_element(P, 2)
+        assert frattini_center_element(P, 2) is None
 
     def test_z_is_central_of_order_p(self, zoo):
         for name, G in zoo.items():
@@ -246,12 +265,9 @@ def _frattini_by_elements(P, p):
 def _check_frattini(P, p):
     phi, z = _frattini_by_elements(P, p)
     assert [tuple(row) for row in frattini_subgroup(P, p).elements.tolist()] == phi
-    if is_elementary_abelian(P, p):
-        assert z is None
-        with pytest.raises(ValueError):
-            frattini_center_element(P, p)
-    else:
-        assert tuple(frattini_center_element(P, p).images.tolist()) == z
+    got = frattini_center_element(P, p)
+    assert (got is None) == (z is None) == is_elementary_abelian(P, p)
+    assert got is None or tuple(got.images.tolist()) == z
 
 
 @settings(max_examples=40, deadline=None)
