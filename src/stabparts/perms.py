@@ -400,8 +400,9 @@ class PermGroup:
     def elements(self) -> np.ndarray:
         """All elements as a lexicographically sorted (|G|, n) image array.
 
-        Raises ResourceLimit, before anything is allocated, when the table
-        would exceed MAX_TABLE_BYTES.
+        The sort reads only the columns up to the largest base point (see
+        _enumerate).  Raises ResourceLimit, before anything is allocated,
+        when the table would exceed MAX_TABLE_BYTES.
         """
         if self._elements is None:
             size = self.order * self.degree * 4
@@ -414,13 +415,21 @@ class PermGroup:
     def _enumerate(self) -> np.ndarray:
         """Every element as a product of transversal representatives, deepest
         level first: each level multiplies the rows so far on the right by its
-        representatives."""
+        representatives.
+
+        The rows are sorted on columns 0..b only, b the largest base point.
+        An element is determined by its base images, so two distinct rows
+        differ at some column <= b; their first difference lies there too,
+        and the order on those columns is the full lexicographic order.
+        """
         n = self.degree
+        levels = self.chain.levels
         arr = np.arange(n, dtype=np.int32)[np.newaxis, :]
-        for lvl in reversed(self.chain.levels):
+        for lvl in reversed(levels):
             reps = np.stack([u.images for u in lvl.transversal.values()])
             arr = reps[:, arr].reshape(-1, n)
-        arr = arr[np.lexsort(arr.T[::-1])]
+        last = max((lvl.base_point for lvl in levels), default=0)
+        arr = arr[np.lexsort(arr.T[last::-1])]
         arr.setflags(write=False)
         return arr
 
@@ -497,15 +506,32 @@ def normalizer(G: PermGroup, H: PermGroup) -> np.ndarray:
     """The rows of G.elements that form N_G(H) = {g in G : g^-1 H g = H},
     still sorted; requires H <= G, both enumerable.
 
-    Each generator h of H is conjugated by all candidate rows g at once:
-    g^-1 h g maps g[y] to g[h[y]], one scatter per row.  Conjugating the
-    generators into H suffices, since |g^-1 H g| = |H|.
+    A row g that normalizes H maps each H-orbit onto an H-orbit, since
+    (x^h)^g = (x^g)^(g^-1 h g).  So the rows are first filtered point by
+    point: g must map each orbit O into the orbit T of the image of O's
+    least point, with |T| = |O|.  The last orbit needs no test: g is a
+    bijection, so the others map onto distinct orbits and it maps onto the
+    one left.  Then each generator h of H is conjugated by the surviving
+    rows at once: g^-1 h g maps g[y] to g[h[y]], one scatter per row.
+    Conjugating the generators into H suffices, since |g^-1 H g| = |H|.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     E = G.elements
-    hkeys = _row_keys(H.elements)
+    parts = H.orbits()
+    label = np.empty(G.degree, dtype=np.intp)
+    for i, orbit in enumerate(parts):
+        label[orbit] = i
+    sizes = np.bincount(label)
     keep = np.arange(E.shape[0])
+    for orbit in parts[:-1]:
+        target = label[E[keep, orbit[0]]]
+        ok = sizes[target] == len(orbit)
+        keep, target = keep[ok], target[ok]
+        for x in orbit[1:]:
+            ok = label[E[keep, x]] == target
+            keep, target = keep[ok], target[ok]
+    hkeys = _row_keys(H.elements)
     for h in H.generators:
         rows = E[keep]
         conj = np.empty_like(rows)

@@ -161,6 +161,37 @@ def test_chain_agrees_with_closure(G, data):
         assert (Permutation(images) in G) == (tuple(images) in members)
 
 
+def _assert_full_lex_order(G):
+    E = G.elements
+    assert np.array_equal(E, E[np.lexsort(E.T[::-1])])
+    step = np.diff(E.astype(np.int64), axis=0)
+    first = (step != 0).argmax(axis=1)
+    assert (step[np.arange(len(step)), first] > 0).all()  # strictly increasing
+
+
+class TestTableOrder:
+    # the table is sorted on its columns up to the largest base point only
+    def test_product_sorted_beyond_its_last_base_point(self, jxj):
+        base = [lvl.base_point for lvl in jxj.chain.levels]
+        assert (max(base), jxj.degree) == (16, 64)
+        _assert_full_lex_order(jxj)
+
+    def test_moved_points_at_the_end(self):
+        # Sym({7,8,9}) in degree 10: base [7, 8], so column 9 is not a sort key
+        G = PermGroup.from_cycles(10, ["(7 8 9)", "(8 9)"])
+        assert [lvl.base_point for lvl in G.chain.levels] == [7, 8]
+        _assert_full_lex_order(G)
+        assert G.elements[:, :7].tolist() == [list(range(7))] * 6
+        assert G.elements[:, 7:].tolist() == [[7, 8, 9], [7, 9, 8], [8, 7, 9],
+                                              [8, 9, 7], [9, 7, 8], [9, 8, 7]]
+
+    @pytest.mark.parametrize("degree", [1, 5])
+    def test_no_levels(self, degree):
+        G = PermGroup.trivial(degree)
+        assert G.chain.levels == []
+        assert G.elements.tolist() == [list(range(degree))]
+
+
 def _one_indexed(degree, *cycles):
     """A permutation from cycles written on the points 1..degree."""
     text = "".join("(" + " ".join(str(x - 1) for x in c) + ")" for c in cycles)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -281,12 +282,15 @@ def test_frattini_matches_element_definition(G):
         _check_frattini(G.subgroup(P.iter_elements()), p)
 
 
+# AGL(4,2), |G| = 322560: GL(4,2) from a transvection and a 4-cycle of coordinates
+AGL42 = {"affine": {"p": 2, "k": 1, "dim": 4, "generators": [
+    {"matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
+    {"matrix": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]},
+]}}
+
+
 def test_agl42_sylow2_known_values():
-    # AGL(4,2), |G| = 322560: GL(4,2) from a transvection and a 4-cycle of coordinates
-    G = group_from_document({"affine": {"p": 2, "k": 1, "dim": 4, "generators": [
-        {"matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]},
-        {"matrix": [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]},
-    ]}})
+    G = group_from_document(AGL42)
     data = all_sylows(G, 2)
     P = data.representative
     assert (G.order, P.order, data.count) == (322560, 1024, 315)
@@ -294,3 +298,31 @@ def test_agl42_sylow2_known_values():
     cert = prop_certificate(G, 2)
     assert format_cycles(cert.z) == "".join(f"({2 * i} {2 * i + 1})" for i in range(8))
     assert (cert.fixed_points, cert.sylow_norm_index, cert.verdict) == (0, 315, False)
+
+
+def _normalizer_by_conjugation(G, H):
+    """N_G(H) with no orbit prefilter: conjugate the rows of G's table by
+    each generator of H in turn, keeping those whose conjugate lies in H."""
+    E = G.elements
+    key = np.dtype((np.void, E.dtype.itemsize * G.degree))
+    hkeys = np.ascontiguousarray(H.elements).view(key).ravel()
+    keep = np.arange(E.shape[0])
+    for h in H.generators:
+        rows = E[keep]
+        conj = np.empty_like(rows)
+        np.put_along_axis(conj, rows, rows[:, h.images], axis=1)
+        keep = keep[np.isin(conj.view(key).ravel(), hkeys)]
+    return E[keep]
+
+
+@pytest.mark.parametrize("doc, p, count", [
+    ({"named": "Product(J,J)"}, 3, 784),
+    ({"named": "Product(J,J)"}, 7, 64),
+    (AGL42, 2, 315),
+])
+def test_prefiltered_normalizer_equals_unfiltered(doc, p, count):
+    G = group_from_document(doc)
+    data = all_sylows(G, p)
+    assert data.count == count
+    N = normalizer(G, data.representative)
+    assert np.array_equal(N, _normalizer_by_conjugation(G, data.representative))
