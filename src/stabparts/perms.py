@@ -262,28 +262,34 @@ class PointSet:
 class _ChainLevel:
     __slots__ = ("base_point", "transversal", "inverses")
 
-    def __init__(self, base_point: int, degree: int):
+    def __init__(self, base_point: int, identity: np.ndarray):
         self.base_point = base_point
-        self.transversal = {base_point: Permutation.identity(degree)}
-        self.inverses = dict(self.transversal)  # point -> representative^-1
+        self.transversal = {base_point: identity}  # point -> representative's images
+        self.inverses = {base_point: identity}  # point -> images of representative^-1
 
 
 class StabilizerChain:
     """Deterministic one-pass incremental Schreier-Sims for small degrees.
 
-    The strong generators form one list, each tagged with its depth: it
-    fixes the base points before that level, so it generates levels
-    0..depth.  Each (orbit point x, strong generator s) pair of a level is
-    handled once: a new x^s extends the transversal, else the Schreier
-    generator u_x s u_{x^s}^-1 is sifted, and a residue that does not sift
-    becomes a strong generator.  Pairs wait in a queue, deepest level first,
-    so each sift runs through levels that are already complete.
+    Every stored element is a read-only int32 image array: the product "a,
+    then b" is b[a] (one gather, b.take(a)), and the identity test compares
+    bytes with the identity's.
+    The strong generators form one list of (images, depth) pairs: each fixes
+    the base points before that level, so it generates levels 0..depth.  Each
+    (orbit point x, strong generator s) pair of a level is handled once: a
+    new x^s extends the transversal, else the Schreier generator
+    u_x s u_{x^s}^-1 is sifted, and a residue that does not sift becomes a
+    strong generator.  Pairs wait in a queue, deepest level first, so each
+    sift runs through levels that are already complete.
     """
 
     def __init__(self, degree: int, gens: Iterable[Permutation] = ()):
         self.degree = degree
+        self.identity = np.arange(degree, dtype=np.int32)
+        self.identity.setflags(write=False)
+        self._identity_key = self.identity.tobytes()
         self.levels: list[_ChainLevel] = []
-        self.strong: list[tuple[Permutation, int]] = []  # (generator, depth)
+        self.strong: list[tuple[np.ndarray, int]] = []  # (images, depth)
         for g in gens:
             self.add_generator(g)
 
@@ -291,50 +297,55 @@ class StabilizerChain:
         return math.prod(len(lvl.transversal) for lvl in self.levels)
 
     def contains(self, g: Permutation) -> bool:
-        residue, _ = self._sift(g)
-        return residue.is_identity()
+        residue, _ = self._sift(g.images)
+        return residue.tobytes() == self._identity_key
 
     def add_generator(self, g: Permutation) -> bool:
         """Grow the group by g; False, with nothing changed, when g is a member."""
-        residue, depth = self._sift(g)
-        if residue.is_identity():
+        residue, depth = self._sift(g.images)
+        if residue.tobytes() == self._identity_key:
             return False
         pending: list[tuple[int, int, int]] = []  # heap of (-level, point, strong index)
         self._add_strong(residue, depth, pending)
         while pending:
             neg_level, x, k = heapq.heappop(pending)
             lvl, s = self.levels[-neg_level], self.strong[k][0]
-            y = int(s.images[x])
-            u = lvl.transversal[x] * s
+            y = s.item(x)
+            u = s.take(lvl.transversal[x])
             if y in lvl.transversal:
-                residue, depth = self._sift(u * lvl.inverses[y])
-                if not residue.is_identity():
+                residue, depth = self._sift(lvl.inverses[y].take(u))
+                if residue.tobytes() != self._identity_key:
                     self._add_strong(residue, depth, pending)
                 continue
+            inverse = np.empty_like(u)
+            inverse[u] = self.identity
+            u.setflags(write=False)
+            inverse.setflags(write=False)
             lvl.transversal[y] = u
-            lvl.inverses[y] = u.inverse()
+            lvl.inverses[y] = inverse
             for j, (_, depth) in enumerate(self.strong):
                 if depth >= -neg_level:
                     heapq.heappush(pending, (neg_level, y, j))
         return True
 
-    def _sift(self, g: Permutation) -> tuple[Permutation, int]:
+    def _sift(self, g: np.ndarray) -> tuple[np.ndarray, int]:
         for i, lvl in enumerate(self.levels):
-            x = int(g.images[lvl.base_point])
+            x = g.item(lvl.base_point)
             if x == lvl.base_point:
                 continue
             rep = lvl.inverses.get(x)
             if rep is None:
                 return g, i
-            g = g * rep
+            g = rep.take(g)
         return g, len(self.levels)
 
-    def _add_strong(self, s: Permutation, depth: int,
+    def _add_strong(self, s: np.ndarray, depth: int,
                     pending: list[tuple[int, int, int]]) -> None:
         """Make s a strong generator of levels 0..depth and queue its pairs."""
         if depth == len(self.levels):
-            moved = int(np.flatnonzero(s.images != np.arange(self.degree))[0])
-            self.levels.append(_ChainLevel(moved, self.degree))
+            moved = int(np.flatnonzero(s != self.identity)[0])
+            self.levels.append(_ChainLevel(moved, self.identity))
+        s.setflags(write=False)
         k = len(self.strong)
         self.strong.append((s, depth))
         for i in range(depth + 1):
@@ -415,21 +426,31 @@ class PermGroup:
     def _enumerate(self) -> np.ndarray:
         """Every element as a product of transversal representatives, deepest
         level first: each level multiplies the rows so far on the right by its
-        representatives.
+        representatives, one gather of the representatives by the rows.
 
         The rows are sorted on columns 0..b only, b the largest base point.
         An element is determined by its base images, so two distinct rows
         differ at some column <= b; their first difference lies there too,
         and the order on those columns is the full lexicographic order.
+        A point takes bits = max(1, (n-1).bit_length()) bits, so those columns
+        are packed 63 // bits to a non-negative int64 key, the first column
+        highest, and one lexsort runs over those few keys.
         """
         n = self.degree
         levels = self.chain.levels
-        arr = np.arange(n, dtype=np.int32)[np.newaxis, :]
+        arr = self.chain.identity[np.newaxis, :]
         for lvl in reversed(levels):
-            reps = np.stack([u.images for u in lvl.transversal.values()])
-            arr = reps[:, arr].reshape(-1, n)
-        last = max((lvl.base_point for lvl in levels), default=0)
-        arr = arr[np.lexsort(arr.T[last::-1])]
+            reps = np.stack(list(lvl.transversal.values()))
+            arr = np.take(reps, arr, axis=1).reshape(-1, n)
+        columns = max((lvl.base_point for lvl in levels), default=0) + 1
+        bits = max(1, (n - 1).bit_length())
+        per = 63 // bits
+        keys = []
+        for start in range(0, columns, per):
+            width = min(per, columns - start)
+            weights = np.int64(1) << bits * np.arange(width - 1, -1, -1, dtype=np.int64)
+            keys.append(arr[:, start:start + width] @ weights)
+        arr = np.take(arr, np.lexsort(keys[::-1]), axis=0)
         arr.setflags(write=False)
         return arr
 
@@ -585,7 +606,7 @@ def point_stabilizer_of_zero(G: PermGroup) -> PermGroup:
     if 0 not in levels[0].transversal:
         raise ValueError("0 is not in the orbit of the first base point")
     u, u_inv = levels[0].transversal[0], levels[0].inverses[0]
-    gens = (u_inv * s * u for s, depth in G.chain.strong if depth >= 1)
+    gens = (Permutation._trusted(u[s[u_inv]]) for s, depth in G.chain.strong if depth >= 1)
     return PermGroup(G.degree, gens, name="H")
 
 
@@ -603,10 +624,11 @@ def primitivity_blocks(G: PermGroup) -> Optional[list[list[int]]]:
     n = G.degree
     if n == 1:
         return None
-    top = G.chain.levels[0]  # top.inverses[0] * top.transversal[x] takes 0 to x
+    top = G.chain.levels[0]  # top.transversal[x][top.inverses[0]] takes 0 to x
     stab = point_stabilizer_of_zero(G).generators
     for orbit in orbits(stab, n)[1:]:
-        block = orbits(stab + (top.inverses[0] * top.transversal[orbit[0]],), n)[0]
+        h = Permutation._trusted(top.transversal[orbit[0]][top.inverses[0]])
+        block = orbits(stab + (h,), n)[0]
         if len(block) < n:
             break
     else:
@@ -614,7 +636,7 @@ def primitivity_blocks(G: PermGroup) -> Optional[list[list[int]]]:
     system, covered = [], np.zeros(n, dtype=bool)
     for x in range(n):  # the least uncovered point starts the next block
         if not covered[x]:
-            image = np.sort((top.inverses[0] * top.transversal[x]).images[block])
+            image = np.sort(top.transversal[x][top.inverses[0]][block])
             covered[image] = True
             system.append(image.tolist())
     return system

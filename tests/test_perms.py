@@ -169,12 +169,35 @@ def _assert_full_lex_order(G):
     assert (step[np.arange(len(step)), first] > 0).all()  # strictly increasing
 
 
+def _sort_keys(G):
+    """(bits per point, int64 sort keys) of G's table: columns 0..b, b the
+    largest base point, are packed 63 // bits to a key."""
+    bits = max(1, (G.degree - 1).bit_length())
+    columns = max((lvl.base_point for lvl in G.chain.levels), default=0) + 1
+    return bits, -(-columns // (63 // bits))
+
+
+def _assert_table(G):
+    _assert_full_lex_order(G)
+    assert np.array_equal(G.elements, np.array(closure(G), dtype=np.int32).reshape(-1, G.degree))
+
+
 class TestTableOrder:
-    # the table is sorted on its columns up to the largest base point only
+    # the table is sorted on its columns up to the largest base point only,
+    # packed into int64 keys
     def test_product_sorted_beyond_its_last_base_point(self, jxj):
         base = [lvl.base_point for lvl in jxj.chain.levels]
         assert (max(base), jxj.degree) == (16, 64)
-        _assert_full_lex_order(jxj)
+        assert _sort_keys(jxj) == (6, 2)  # 17 columns, 10 to a key
+        _assert_table(jxj)
+
+    def test_seven_bit_points(self):
+        # Sym({60..66}) in degree 70: base points up to 65, 9 columns to a key
+        G = PermGroup.from_cycles(70, ["(60 61 62 63 64 65 66)", "(60 61)"])
+        assert max(lvl.base_point for lvl in G.chain.levels) >= 64
+        assert _sort_keys(G) == (7, 8)
+        _assert_table(G)
+        assert G.elements[:, :60].tolist() == [list(range(60))] * 5040
 
     def test_moved_points_at_the_end(self):
         # Sym({7,8,9}) in degree 10: base [7, 8], so column 9 is not a sort key
@@ -189,7 +212,25 @@ class TestTableOrder:
     def test_no_levels(self, degree):
         G = PermGroup.trivial(degree)
         assert G.chain.levels == []
+        assert _sort_keys(G)[1] == 1
+        _assert_table(G)
         assert G.elements.tolist() == [list(range(degree))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(max_order=5040), st.integers(0, 60), st.integers(0, 8))
+@example(PermGroup.from_cycles(6, ["(0 1 2 3 4 5)", "(0 1)"]), 60, 4)
+def test_table_order_on_high_points(G, offset, extra):
+    # G moved onto the points offset.. of a larger degree, up to 7 bits a point
+    n = offset + G.degree + extra
+    lifted = []
+    for g in G.generators:
+        images = np.arange(n, dtype=np.int32)
+        images[offset:offset + G.degree] = g.images + offset
+        lifted.append(Permutation(images))
+    H = PermGroup(n, lifted)
+    assert H.order == G.order
+    _assert_table(H)
 
 
 def _one_indexed(degree, *cycles):
@@ -204,6 +245,8 @@ M12_GENS = [_one_indexed(12, range(1, 12)), _one_indexed(12, (3, 7, 11, 8), (4, 
 DEEP_CHAINS = {
     "M11": (11, M11_GENS, 7920),
     "M12": (12, M12_GENS, 95040),
+    "Sym(10)": (10, [_one_indexed(10, range(1, 11)), _one_indexed(10, (1, 2))],
+                math.factorial(10)),
     "Sym(12)": (12, [_one_indexed(12, range(1, 13)), _one_indexed(12, (1, 2))],
                 math.factorial(12)),
     "Alt(11)": (11, [_one_indexed(11, (1, 2, 3)), _one_indexed(11, range(3, 12))],
@@ -238,6 +281,29 @@ class TestStabilizerChain:
                     for i, lvl in enumerate(chain.levels))
         assert len(sifts) <= len(G.generators) + pairs
 
+    @pytest.mark.parametrize("name, base, sizes, depths", [
+        ("Sym(10)", [0, 1, 8, 7, 6, 5, 4, 3, 2], list(range(10, 1, -1)),
+         [0, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8]),
+        ("Product(J,J)", [0, 8, 16, 1, 2], [64, 7, 3, 7, 3], [0, 0, 0, 1, 2, 0, 0, 0, 3, 4]),
+        ("M12", [0, 2, 1, 3, 4], [12, 11, 10, 9, 8], [0, 1, 1, 2, 2, 3, 3, 0, 4, 4]),
+    ])
+    def test_chain_shape(self, name, base, sizes, depths):
+        # the base, orbit sizes and strong generator depths of the one-pass algorithm
+        G = PermGroup(*DEEP_CHAINS[name][:2]) if name in DEEP_CHAINS else named_group(name)
+        chain = G.chain
+        assert [lvl.base_point for lvl in chain.levels] == base
+        assert [len(lvl.transversal) for lvl in chain.levels] == sizes
+        assert [depth for _, depth in chain.strong] == depths
+        identity = np.arange(G.degree, dtype=np.int32)
+        stored = [s for s, _ in chain.strong]
+        for lvl in chain.levels:
+            assert list(lvl.transversal) == list(lvl.inverses)
+            for x, u in lvl.transversal.items():
+                assert u[lvl.base_point] == x
+                assert np.array_equal(lvl.inverses[x][u], identity)
+                stored += [u, lvl.inverses[x]]
+        assert all(a.dtype == np.int32 and not a.flags.writeable for a in stored)
+
     def test_add_generator_reports_growth(self):
         chain = StabilizerChain(11, M11_GENS[:1])
         assert chain.add_generator(M11_GENS[1]) is True
@@ -263,9 +329,9 @@ def test_chain_ignores_how_the_group_is_generated(G, rnd):
 
 
 def _chain_state(G):
-    return ([(lvl.base_point, {x: u.images.tolist() for x, u in lvl.transversal.items()})
+    return ([(lvl.base_point, {x: u.tolist() for x, u in lvl.transversal.items()})
              for lvl in G.chain.levels],
-            [(s.images.tolist(), depth) for s, depth in G.chain.strong])
+            [(s.tolist(), depth) for s, depth in G.chain.strong])
 
 
 class TestGrow:
