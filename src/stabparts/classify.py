@@ -55,6 +55,8 @@ def _stabilizing_rows(G: PermGroup, delta: PointSet) -> np.ndarray:
 
     A bijection fixes delta iff it maps delta, or equally its complement,
     into itself: the smaller side filters the rows one point at a time.
+    G.elements is point-major, so the first point's filter reads one whole
+    contiguous column, and each later one reads its column at the rows kept.
     """
     if delta.degree != G.degree:
         raise ValueError("point set degree mismatch")
@@ -62,9 +64,12 @@ def _stabilizing_rows(G: PermGroup, delta: PointSet) -> np.ndarray:
     if 2 * side.sum() > G.degree:
         side = ~side
     E = G.elements
-    keep = np.arange(E.shape[0])
-    for x in np.flatnonzero(side):
-        keep = keep[side[E[keep, x]]]
+    points = np.flatnonzero(side)
+    if points.size == 0:  # delta is empty or all of Omega
+        return np.arange(E.shape[0])
+    keep = np.flatnonzero(side[E[:, points[0]]])
+    for x in points[1:]:
+        keep = keep[side[E[:, x].take(keep)]]
     return keep
 
 
@@ -380,6 +385,9 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
         # no p-power lies strictly between 1 and p: EXTREME by arithmetic
         report.note = "|G|_p = p: moderation is impossible"
     elif strategy == "constructive":
+        # every candidate is verified on G's table: refuse it before any
+        # recipe builds H's
+        G.elements
         candidates = chain(constructive_candidates(G, p), _sampled(n, seed))
     for stage, delta in candidates:
         part = _verify_witness(G, delta, p, gp)

@@ -105,6 +105,8 @@ def main():
 _spec_arg = click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
 _p_opt = click.option("--p", "p", type=int, required=True, help="prime p")
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
+_trials_opt = click.option("--trials", type=click.IntRange(min=1), default=1000,
+                           show_default=True)
 
 
 @main.command()
@@ -163,7 +165,7 @@ def sylow(spec_file, p):
 @main.command()
 @_spec_arg
 @_p_opt
-@click.option("--trials", type=int, default=1000, show_default=True)
+@_trials_opt
 @_seed_opt
 def prop31(spec_file, p, trials, seed):
     """Counting-criterion certificate, plus a randomized witness when it holds."""
@@ -192,7 +194,7 @@ def witness(spec_file, p, seed):
 
 @main.command("verify-paper")
 @_seed_opt
-@click.option("--trials", type=int, default=1000, show_default=True)
+@_trials_opt
 def verify_paper(seed, trials):
     """Run the full reproduction suite; one pass/fail line per criterion."""
     started = time.time()

@@ -411,9 +411,14 @@ class PermGroup:
     def elements(self) -> np.ndarray:
         """All elements as a lexicographically sorted (|G|, n) image array.
 
-        The sort reads only the columns up to the largest base point (see
-        _enumerate).  Raises ResourceLimit, before anything is allocated,
-        when the table would exceed MAX_TABLE_BYTES.
+        The table is stored point-major (Fortran order): E[:, x], the image
+        of x under every element, is contiguous, so the filters that read
+        one point at a time (setwise stabilizers, the normalizer's orbit
+        prefilter) read whole columns.  A row E[i] is a strided view, and
+        readers that need contiguous rows copy them.  The sort reads only
+        the columns up to the largest base point (see _enumerate).  Raises
+        ResourceLimit, before anything is allocated, when the table would
+        exceed MAX_TABLE_BYTES.
         """
         if self._elements is None:
             size = self.order * self.degree * 4
@@ -425,9 +430,12 @@ class PermGroup:
 
     def _enumerate(self) -> np.ndarray:
         """Every element as a product of transversal representatives, deepest
-        level first: each level multiplies the rows so far on the right by its
-        representatives, one gather of the representatives by the rows.
+        level first: each level multiplies the elements so far on the right
+        by its representatives, one gather of the representatives by them.
 
+        The table is built transposed, one point per row of arrT, so the
+        gathers, the sort keys and the sort read contiguous rows of arrT;
+        its transpose is the point-major (|G|, n) table.
         The rows are sorted on columns 0..b only, b the largest base point.
         An element is determined by its base images, so two distinct rows
         differ at some column <= b; their first difference lies there too,
@@ -438,10 +446,10 @@ class PermGroup:
         """
         n = self.degree
         levels = self.chain.levels
-        arr = self.chain.identity[np.newaxis, :]
+        arrT = self.chain.identity[:, np.newaxis]
         for lvl in reversed(levels):
-            reps = np.stack(list(lvl.transversal.values()))
-            arr = np.take(reps, arr, axis=1).reshape(-1, n)
+            repsT = np.stack(list(lvl.transversal.values()), axis=1)
+            arrT = np.take(repsT, arrT, axis=0).reshape(n, -1)
         columns = max((lvl.base_point for lvl in levels), default=0) + 1
         bits = max(1, (n - 1).bit_length())
         per = 63 // bits
@@ -449,8 +457,8 @@ class PermGroup:
         for start in range(0, columns, per):
             width = min(per, columns - start)
             weights = np.int64(1) << bits * np.arange(width - 1, -1, -1, dtype=np.int64)
-            keys.append(arr[:, start:start + width] @ weights)
-        arr = np.take(arr, np.lexsort(keys[::-1]), axis=0)
+            keys.append(weights @ arrT[start:start + width])
+        arr = np.take(arrT, np.lexsort(keys[::-1]), axis=1).T
         arr.setflags(write=False)
         return arr
 
@@ -479,6 +487,7 @@ class PermGroup:
     def subgroup_from_rows(self, rows: np.ndarray, name: Optional[str] = None) -> "PermGroup":
         """The subgroup whose element table is rows, a subset of self.elements
         that is closed under products and still lexicographically sorted.
+        The rows are stored point-major, like every element table.
 
         The rows are sifted through the subgroup's chain in order while its
         order is below len(rows): a row that is not yet a member joins the
@@ -487,6 +496,7 @@ class PermGroup:
         """
         if rows.shape[0] == self.order:
             return self
+        rows = np.asfortranarray(rows)
         rows.setflags(write=False)
         H = PermGroup(self.degree, (), name=name)
         for row in rows:
@@ -530,11 +540,12 @@ def normalizer(G: PermGroup, H: PermGroup) -> np.ndarray:
     A row g that normalizes H maps each H-orbit onto an H-orbit, since
     (x^h)^g = (x^g)^(g^-1 h g).  So the rows are first filtered point by
     point: g must map each orbit O into the orbit T of the image of O's
-    least point, with |T| = |O|.  The last orbit needs no test: g is a
-    bijection, so the others map onto distinct orbits and it maps onto the
-    one left.  Then each generator h of H is conjugated by the surviving
-    rows at once: g^-1 h g maps g[y] to g[h[y]], one scatter per row.
-    Conjugating the generators into H suffices, since |g^-1 H g| = |H|.
+    least point, with |T| = |O|; each step reads one column of the
+    point-major table at the surviving rows.  The last orbit needs no test:
+    g is a bijection, so the others map onto distinct orbits and it maps
+    onto the one left.  Then each generator h of H is conjugated by the
+    surviving rows at once: g^-1 h g maps g[y] to g[h[y]], one scatter per
+    row.  Conjugating the generators into H suffices, since |g^-1 H g| = |H|.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -546,11 +557,11 @@ def normalizer(G: PermGroup, H: PermGroup) -> np.ndarray:
     sizes = np.bincount(label)
     keep = np.arange(E.shape[0])
     for orbit in parts[:-1]:
-        target = label[E[keep, orbit[0]]]
+        target = label[E[:, orbit[0]].take(keep)]
         ok = sizes[target] == len(orbit)
         keep, target = keep[ok], target[ok]
         for x in orbit[1:]:
-            ok = label[E[keep, x]] == target
+            ok = label[E[:, x].take(keep)] == target
             keep, target = keep[ok], target[ok]
     hkeys = _row_keys(H.elements)
     for h in H.generators:

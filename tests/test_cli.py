@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from stabparts import PermGroup
 from stabparts.cli import (
     EXIT_ERROR,
     EXIT_EXTREME,
@@ -50,6 +51,26 @@ class TestClassify:
         payload = _payload(result)
         assert (payload["status"], payload["stage"]) == ("MODERATE", "translation")
         assert payload["witness"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("command", ["classify", "witness"])
+    def test_table_bound_refused_before_h_is_built(self, runner, spec_file, monkeypatch,
+                                                   command):
+        # AGL(3,4) at p = 3: G's table would take 2.97 GB, H = GL(3,4)'s 46 MB;
+        # every candidate is verified on G's table, so no table is built at all
+        built = []
+        enumerate_ = PermGroup._enumerate
+        monkeypatch.setattr(PermGroup, "_enumerate",
+                            lambda G: built.append(G.order) or enumerate_(G))
+        shift = [[int(j == (i + 1) % 3) for j in range(3)] for i in range(3)]
+        transvection = [[int(i == j or (i, j) == (0, 1)) for j in range(3)] for i in range(3)]
+        path = spec_file({"affine": {"p": 2, "k": 2, "dim": 3, "generators": [
+            {"matrix": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]},
+            {"matrix": shift}, {"matrix": transvection}]}})
+        result = runner.invoke(main, [command, path, "--p", "3"])
+        assert result.exit_code == EXIT_ERROR
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and "MAX_TABLE_BYTES" in lines[0]
+        assert built == []
 
     def test_sym10_classify_over_table_bound(self, runner, spec_file):
         # the witness checks need the element table, which the byte bound refuses
@@ -186,6 +207,13 @@ class TestProp31:
         assert result.exit_code == EXIT_INAPPLICABLE
         assert "elementary abelian" in result.stderr
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one(self, runner, spec_file, trials):
+        path = spec_file({"named": "C4"})
+        result = runner.invoke(main, ["prop31", path, "--p", "2", "--trials", trials])
+        assert result.exit_code == 2
+        assert "--trials" in result.stderr
+
 
 class TestWitness:
     def test_d6xd6(self, runner, spec_file):
@@ -282,6 +310,13 @@ class TestVerifyPaper:
         assert doc["payload"]["passed"] == len(doc["payload"]["checks"])
         lines = [l for l in result.stderr.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == len(doc["payload"]["checks"])
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_trials_below_one(self, runner, trials):
+        # refused as a usage error before any check runs, not reported as a FAIL
+        result = runner.invoke(main, ["verify-paper", "--trials", trials])
+        assert result.exit_code == 2
+        assert "--trials" in result.stderr and "FAIL" not in result.stderr
 
     def test_seed_determinism(self, runner):
         blobs = set()

@@ -24,6 +24,7 @@ from stabparts import (
     point_stabilizer_of_zero,
     primitivity_blocks,
     product_action,
+    setwise_stabilizer,
 )
 from stabparts.perms import StabilizerChain
 from strategies import closure, small_groups
@@ -163,6 +164,8 @@ def test_chain_agrees_with_closure(G, data):
 
 def _assert_full_lex_order(G):
     E = G.elements
+    # point-major: the images of each point under all elements are contiguous
+    assert E.flags.f_contiguous and E.dtype == np.int32 and not E.flags.writeable
     assert np.array_equal(E, E[np.lexsort(E.T[::-1])])
     step = np.diff(E.astype(np.int64), axis=0)
     first = (step != 0).argmax(axis=1)
@@ -207,6 +210,12 @@ class TestTableOrder:
         assert G.elements[:, :7].tolist() == [list(range(7))] * 6
         assert G.elements[:, 7:].tolist() == [[7, 8, 9], [7, 9, 8], [8, 7, 9],
                                               [8, 9, 7], [9, 7, 8], [9, 8, 7]]
+
+    def test_setwise_stabilizer_table(self, jxj):
+        # rows 0 and 1 of the 8 x 8 grid; the stabilizer's table is its rows of G's
+        S = setwise_stabilizer(jxj, PointSet(64, range(16)))
+        assert S.order == 1008
+        _assert_full_lex_order(S)
 
     @pytest.mark.parametrize("degree", [1, 5])
     def test_no_levels(self, degree):

@@ -1,5 +1,7 @@
 """Subgroups built from their element rows, against per-element definitions."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from stabparts import (
     PointSet,
     named_group,
     normalizer,
+    orbits,
     p_part,
     setwise_stabilizer,
     stab_p_part,
@@ -68,6 +71,28 @@ def test_jxj_filter_is_the_full_row_scan(jxj, label):
     assert np.array_equal(rows, _full_row_scan(jxj, S))
     assert rows.size == order
     assert (np.diff(rows) > 0).all()
+
+
+def _seeded_jxj_subset(jxj, kind, seed):
+    """A union of orbits of z, the order-3 generator acting on the first
+    factor of J x J (every orbit kept with probability 1/2), or a random
+    subset of 1..63 points."""
+    rng = random.Random(seed)
+    if kind == "z-orbits":
+        z = jxj.generators[4]
+        return PointSet(64, [x for orb in orbits([z], 64) if rng.random() < 0.5 for x in orb])
+    return PointSet(64, rng.sample(range(64), rng.randint(1, 63)))
+
+
+@pytest.mark.parametrize("kind, seed", [("z-orbits", s) for s in range(3)]
+                         + [("random", s) for s in range(8)])
+def test_jxj_filter_on_seeded_subsets(jxj, kind, seed):
+    # the point-major filter against the definitional scan at n = 64
+    S = _seeded_jxj_subset(jxj, kind, seed)
+    rows = _stabilizing_rows(jxj, S)
+    assert np.array_equal(rows, _full_row_scan(jxj, S))
+    if kind == "z-orbits":
+        assert jxj.generators[4].order() == 3 and rows.size % 3 == 0
 
 
 @settings(max_examples=40, deadline=None)
