@@ -29,7 +29,7 @@ from .classify import (
     is_p_concealed,
     stab_p_part,
 )
-from .perms import PermGroup, ResourceLimit, is_primitive
+from .perms import MAX_DEGREE, PermGroup, ResourceLimit, is_primitive
 from .sylow import all_sylows
 from .verify import run_all
 
@@ -62,6 +62,16 @@ def _fail(message: str, code: int = EXIT_ERROR) -> None:
     sys.exit(code)
 
 
+def _emit(started: float, note: str, code: int, **fields) -> None:
+    """Print the JSON report to stdout and the note to stderr, and exit."""
+    report = {"tool": "stabparts", "version": __version__, **fields,
+              "elapsed_seconds": round(time.time() - started, 3)}
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    print(note, file=sys.stderr)
+    sys.exit(code)
+
+
 def _run(spec_file: str, answer: Callable[[PermGroup], tuple[dict, str, int]]) -> None:
     """Load the group, answer, print the JSON report and the note, and exit.
 
@@ -77,18 +87,7 @@ def _run(spec_file: str, answer: Callable[[PermGroup], tuple[dict, str, int]]) -
         _fail(str(exc), EXIT_INAPPLICABLE)
     except (ValueError, ResourceLimit, OSError) as exc:
         _fail(str(exc))
-    report = {
-        "tool": "stabparts",
-        "version": __version__,
-        "input": doc,
-        "group": _summary(G),
-        "payload": payload,
-        "elapsed_seconds": round(time.time() - started, 3),
-    }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    print(note, file=sys.stderr)
-    sys.exit(code)
+    _emit(started, note, code, input=doc, group=_summary(G), payload=payload)
 
 
 def _moderation(report: ModerationReport) -> tuple[dict, str, int]:
@@ -103,7 +102,9 @@ def main():
 
 
 _spec_arg = click.argument("spec_file", type=click.Path(exists=True, dir_okay=False))
-_p_opt = click.option("--p", "p", type=int, required=True, help="prime p")
+# a prime dividing |G| is at most the degree; trial division of a larger p would hang
+_p_opt = click.option("--p", "p", type=click.IntRange(max=MAX_DEGREE), required=True,
+                      help="prime p")
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
 _trials_opt = click.option("--trials", type=click.IntRange(min=1), default=1000,
                            show_default=True)
@@ -210,17 +211,8 @@ def verify_paper(seed, trials):
         "passed": len(checks) - len(failed),
         "failed": len(failed),
     }
-    report = {
-        "tool": "stabparts",
-        "version": __version__,
-        "payload": payload,
-        "elapsed_seconds": round(time.time() - started, 3),
-    }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    print(f"{payload['passed']} passed, {payload['failed']} failed",
-          file=sys.stderr)
-    sys.exit(0 if not failed else 1)
+    _emit(started, f"{payload['passed']} passed, {payload['failed']} failed",
+          1 if failed else 0, payload=payload)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .fields import is_prime
+
 MAX_DEGREE = 4096  # bound on the degree of any group built from a document
 MAX_TABLE_BYTES = 1 << 26  # bound on |G| * degree * 4, the bytes of an element table
 
@@ -628,12 +630,13 @@ def primitivity_blocks(G: PermGroup) -> Optional[list[list[int]]]:
     Blocks containing 0 are the orbits of 0 under the subgroups between G_0
     and G, so the least block holding 0 and beta is the orbit of 0 under
     <G_0, h> for any h with 0^h = beta.  Seeds in one G_0-orbit give one
-    system: one beta per G_0-orbit is tried, least first.
+    system: one beta per G_0-orbit is tried, least first.  A block's size
+    divides n, so a transitive group of prime degree is primitive.
     """
     if not G.is_transitive():
         raise ValueError("block search requires a transitive group")
     n = G.degree
-    if n == 1:
+    if n == 1 or is_prime(n):
         return None
     top = G.chain.levels[0]  # top.transversal[x][top.inverses[0]] takes 0 to x
     stab = point_stabilizer_of_zero(G).generators

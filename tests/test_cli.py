@@ -282,6 +282,25 @@ class TestErrors:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0] == f"error: {p} is not prime"
 
+    @pytest.mark.parametrize("command", ["classify", "witness", "concealed", "census",
+                                         "sylow", "prop31"])
+    def test_p_above_max_degree(self, runner, spec_file, monkeypatch, command):
+        # a prime dividing |G| is at most the degree: a larger p is refused by
+        # the option, before trial division up to its root would hang
+        import stabparts.sylow
+
+        is_prime = stabparts.sylow.is_prime
+
+        def bounded(n):
+            assert n <= 4096, f"primality test on {n}"
+            return is_prime(n)
+
+        monkeypatch.setattr(stabparts.sylow, "is_prime", bounded)
+        result = runner.invoke(main, [command, spec_file({"named": "C4"}),
+                                      "--p", str(10**18 + 3)])
+        assert result.exit_code == EXIT_ERROR
+        assert "--p" in result.stderr and "4096" in result.stderr
+
     @pytest.mark.parametrize("depth", [520, 5000])
     def test_deeply_nested_document(self, runner, tmp_path, depth):
         # json.load raises RecursionError at about 500 levels of products
@@ -317,6 +336,15 @@ class TestVerifyPaper:
         result = runner.invoke(main, ["verify-paper", "--trials", trials])
         assert result.exit_code == 2
         assert "--trials" in result.stderr and "FAIL" not in result.stderr
+
+    def test_report_keys(self, runner, spec_file):
+        # one emitter builds both envelopes; verify-paper has no input or group
+        result = runner.invoke(main, ["classify", spec_file({"named": "C4"}), "--p", "2"])
+        assert list(json.loads(result.stdout)) == [
+            "tool", "version", "input", "group", "payload", "elapsed_seconds"]
+        result = runner.invoke(main, ["verify-paper", "--trials", "50"])
+        assert list(json.loads(result.stdout)) == [
+            "tool", "version", "payload", "elapsed_seconds"]
 
     def test_seed_determinism(self, runner):
         blobs = set()

@@ -539,6 +539,25 @@ class TestBlocksFromTheChain:
             {"matrix": _shift(6)}, {"matrix": _transvection(6)}]}})
         assert G.degree == 64 and primitivity_blocks(G) is None
 
+    @pytest.mark.parametrize("dihedral", [False, True])
+    def test_prime_degree_needs_no_block_search(self, monkeypatch, dihedral):
+        # a block's size divides n = 4093, so C_n and D_2n are primitive at once;
+        # one orbit search per G_0-orbit would take seconds here
+        import stabparts.perms
+
+        n = 4093
+        gens = ["(" + " ".join(map(str, range(n))) + ")"]
+        if dihedral:
+            gens.append("".join(f"({i} {n - i})" for i in range(1, (n + 1) // 2)))
+        G = group_from_document({"degree": n, "generators": gens})
+
+        def spy(*args, **kwargs):
+            raise AssertionError("orbit search at prime degree")
+
+        monkeypatch.setattr(stabparts.perms, "orbits", spy)
+        assert is_primitive(G)
+        assert G.order == (2 * n if dihedral else n)
+
     def test_stabilizer_needs_zero_in_the_first_base_orbit(self):
         G = PermGroup.from_cycles(3, ["(1 2)"])
         with pytest.raises(ValueError, match="orbit of the first base point"):

@@ -1,0 +1,36 @@
+"""verify-paper reads each checked fact from the code that owns it."""
+
+import numpy as np
+
+from stabparts import PermGroup, Permutation, classify, named_group, verify
+from stabparts.perms import _least_element_of_order
+
+
+def test_run_all_builds_no_stabilizer_subgroup(monkeypatch):
+    # |Stab(Delta)| is the number of rows that fix Delta: no subgroup is sifted
+    calls = []
+    subgroup_from_rows = PermGroup.subgroup_from_rows
+    setwise_stabilizer = classify.setwise_stabilizer
+
+    def rows_spy(self, *args, **kwargs):
+        calls.append("subgroup_from_rows")
+        return subgroup_from_rows(self, *args, **kwargs)
+
+    def setwise_spy(*args, **kwargs):
+        calls.append("setwise_stabilizer")
+        return setwise_stabilizer(*args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "subgroup_from_rows", rows_spy)
+    monkeypatch.setattr(classify, "setwise_stabilizer", setwise_spy)
+    checks = verify.run_all(seed=0, trials=200)
+    assert [c.name for c in checks if not c.passed] == []
+    assert calls == []
+
+
+def test_order3_element_is_product_action_encoding():
+    # the reference keeps the pair encoding (a, b) -> a * 8 + b written out
+    J = named_group("J")
+    t3 = _least_element_of_order(J, 3)
+    idx = np.arange(64, dtype=np.int32)
+    expected = Permutation(t3.images[idx // 8] * 8 + idx % 8)
+    assert verify._order3_first_factor_element(J) == expected
