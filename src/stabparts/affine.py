@@ -59,13 +59,6 @@ class AffineSpec:
     def point_add(self, a: int, b: int) -> int:
         return int(self._points(self.field.add_table[self.coords[a], self.coords[b]]))
 
-    @cached_property
-    def negation(self) -> np.ndarray:
-        """The point -v of every point v."""
-        neg = self._points(self.field.neg_table[self.coords])
-        neg.setflags(write=False)
-        return neg
-
     def gen_permutation(self, gen: SemilinearGen) -> Permutation:
         """The generator's action on all points at once, through field tables."""
         F = self.field
@@ -98,17 +91,11 @@ def build_affine(spec: AffineSpec) -> PermGroup:
             vec = [0] * spec.dim
             vec[i] = F.p**j  # x^j in slot i, index p^j; a GF(p)-basis vector
             gens.append(spec.gen_permutation(SemilinearGen(identity, 0, tuple(vec))))
-    return PermGroup(spec.num_points, gens + semilinear, name=spec.name, affine=spec)
+    return PermGroup(spec.num_points, gens + semilinear, name=spec.name)
 
 
 def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
-    """Direct product G1 x G2 on pairs, point (a, b) -> a * n2 + b.
-
-    When both factors are affine over fields of one characteristic p, the
-    pair indexing coincides with the base-p encoding of the concatenated
-    coordinates, since GF(p^k)^d is GF(p)^(kd) digit by digit: the product
-    is again affine, over GF(p), with dim = k1 dim1 + k2 dim2.
-    """
+    """Direct product G1 x G2 on pairs, point (a, b) -> a * n2 + b."""
     n1, n2 = G1.degree, G2.degree
     if n1 * n2 > MAX_DEGREE:
         raise ResourceLimit(f"product degree {n1 * n2} exceeds MAX_DEGREE = {MAX_DEGREE}")
@@ -117,12 +104,7 @@ def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
     gens = [Permutation(g.images[first] * n2 + second) for g in G1.generators]
     gens += [Permutation(first * n2 + g.images[second]) for g in G2.generators]
     name = f"Product({G1.name},{G2.name})" if G1.name and G2.name else None
-    a1, a2 = G1.affine, G2.affine
-    affine = None
-    if a1 is not None and a2 is not None and a1.field.p == a2.field.p:
-        affine = AffineSpec(build_field(a1.field.p, 1),
-                            a1.field.k * a1.dim + a2.field.k * a2.dim, (), name=name)
-    return PermGroup(n1 * n2, gens, name=name, affine=affine)
+    return PermGroup(n1 * n2, gens, name=name)
 
 
 # ---------------------------------------------------------------------------

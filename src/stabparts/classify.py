@@ -17,17 +17,19 @@ mask counts by p-part, and concealment's least counterexample and the
 exhaustive witness are the least mask whose size has a marked p-part.  The
 constructive strategy first verifies one stream of candidates, the witness
 recipes' and then seeded random subsets, and ends in the census like the
-exhaustive one, so the two can never disagree.  The recipes after
-translation_witness read the linear part H = Stab_G(0), conjugated off G's
-stabilizer chain once per classification: the regular vector comes from H's
-orbits, and only the recipes after it read H's element table.  Witness
-constructors are candidate generators only: the verifier (stab_p_part, which
-filters the element rows point by point over Delta or its complement) alone
-accepts them.
+exhaustive one, so the two can never disagree.  The recipes, the proof's
+cases for affine G = V . H, read V off the table that translations finds in
+G however G is written, and the later ones the linear part H = Stab_G(0),
+conjugated off G's stabilizer chain once per classification: the regular
+vector comes from H's orbits, and only the recipes after it read H's
+element table.  Witness constructors are candidate generators only: the
+verifier (stab_p_part, which filters the element rows point by point over
+Delta or its complement) alone accepts them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import chain
@@ -36,10 +38,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import kernels
-from .affine import AffineSpec
-from .perms import (PermGroup, PointSet, ResourceLimit, _least_element_of_order,
+from .fields import prime_divisors
+from .perms import (PermGroup, Permutation, PointSet, ResourceLimit, _least_element_of_order,
                     _order_p_rows, centralizing_rows, orbits, point_stabilizer_of_zero)
-from .sylow import p_part
+from .sylow import is_elementary_abelian, is_p_group, normal_closure, p_part
 
 SAMPLING_TRIALS = 200
 MAX_VECTOR_PAIRS = 1 << 22  # regular_orbit_pair scans at most this many (v, w)
@@ -128,11 +130,43 @@ def _orbit_sizes(G: PermGroup) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The linear part H: its orbits, then its element table
+# The translations V and the linear part H, read off G
 # ---------------------------------------------------------------------------
 #
 # H.elements is lexicographically sorted, so row 0 is the identity and
 # H.elements[1:] are the non-identity rows.
+
+
+def translations(G: PermGroup) -> Optional[np.ndarray]:
+    """The table T of a regular normal elementary abelian r-subgroup N of G,
+    n = r^d, with row v = t_v, the member of N that takes 0 to v; None when
+    G has no such N.  In an affine group V . H, N is V: v + w is T[w, v].
+
+    N grows a point at a time, as V need not be the normal closure of one
+    translation: N becomes M, the normal closure of N and the least row of
+    order r that moves every point and takes 0 to v, the least point outside
+    0^N, such that M is elementary abelian with |0^M| = |M| <= n."""
+    n = G.degree
+    primes = prime_divisors(n)
+    if len(primes) != 1 or not G.is_transitive():
+        return None
+    r, d = primes[0], round(math.log(n, primes[0]))
+    if n * math.prod(n - r**i for i in range(d)) % G.order:  # G <= AGL(d, r)
+        return None
+    E, points = G.elements, np.arange(n)
+    N, reached = G.subgroup((), name="V"), points == 0
+    while not reached.all():
+        rows = E[E[:, 0] == np.argmin(reached)]
+        rows = rows[(rows != points).all(axis=1)]
+        for row in rows[_order_p_rows(rows, r)]:
+            M = normal_closure(G, N.generators + (Permutation._trusted(row),), bound=n)
+            if (M is not None and is_p_group(M, r) and is_elementary_abelian(M, r)
+                    and len(orbit := M.orbits()[0]) == M.order):
+                N, reached[orbit] = M, True
+                break
+        else:
+            return None
+    return N.elements
 
 
 def regular_orbit_vector(H: PermGroup) -> Optional[int]:
@@ -168,26 +202,17 @@ class ConstructorInapplicable(ValueError):
     """A witness recipe's preconditions do not hold for this group."""
 
 
-def _affine_spec(G: PermGroup) -> AffineSpec:
-    if G.affine is None:
-        raise ConstructorInapplicable("group was not built from an affine spec")
-    return G.affine
-
-
-def translation_witness(G: PermGroup, p: int) -> PointSet:
-    """Delta = W, an order-p additive subgroup of V (for p | |V|, |V|_p > p)."""
-    spec = _affine_spec(G)
-    n = spec.num_points
-    if n % p != 0:
-        raise ConstructorInapplicable("p does not divide |V|")
-    if n == p:
+def translation_witness(G: PermGroup, p: int, T: np.ndarray) -> PointSet:
+    """Delta = W = 0^<t_1>, an order-p additive subgroup of V, for p = char V < |V|."""
+    line = orbits([Permutation._trusted(T[1])], G.degree)[0]
+    if len(line) != p:
+        raise ConstructorInapplicable("p is not the characteristic of V")
+    if G.degree == p:
         raise ConstructorInapplicable(
             "|V| = p leaves no room: p^2 does not divide |G| via translations"
         )
-    if spec.field.p != p:
-        raise ConstructorInapplicable("p is not the characteristic of V")
-    # the GF(p)-multiples of the last basis vector are the points 0..p-1
-    return PointSet(n, range(p))
+    # on catalog groups t_1 adds the last basis vector: W is the points 0..p-1
+    return PointSet(G.degree, line)
 
 
 def regular_vector_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
@@ -211,14 +236,14 @@ def p2_regular_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
     return PointSet(G.degree, [0, v, int(t.images[v])])
 
 
-def metacyclic_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
+def metacyclic_witness(G: PermGroup, p: int, H: PermGroup, T: np.ndarray) -> PointSet:
     """Gamma = {0, w, v, -v}: u a noncentral involution of H, wu = w, vu = -v.
 
     u is the least such row of H's table, w and v the least such points.
     """
     if p != 2:
         raise ConstructorInapplicable("recipe is specific to p = 2")
-    neg = _affine_spec(G).negation
+    neg = T.argmin(axis=1)  # -v is the point that t_v takes to 0
     E = H.elements
     central = centralizing_rows(E, H.generators)
     points = np.arange(G.degree)
@@ -235,7 +260,7 @@ def metacyclic_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
     return PointSet(G.degree, [0, w, v, int(neg[v])])
 
 
-def orbit_witness_odd_p(G: PermGroup, p: int, H: PermGroup) -> list[PointSet]:
+def orbit_witness_odd_p(G: PermGroup, p: int, H: PermGroup, T: np.ndarray) -> list[PointSet]:
     """Candidates from the odd-p argument: orbit unions of a regular pair.
 
     Returns {0} u O1 when the two t-orbits coincide, else both
@@ -243,7 +268,6 @@ def orbit_witness_odd_p(G: PermGroup, p: int, H: PermGroup) -> list[PointSet]:
     """
     if p == 2:
         raise ConstructorInapplicable("recipe requires odd p")
-    spec = _affine_spec(G)
     t = _least_element_of_order(H, p)
     if t is None:
         raise ConstructorInapplicable("H has no element of order p")
@@ -257,7 +281,7 @@ def orbit_witness_odd_p(G: PermGroup, p: int, H: PermGroup) -> list[PointSet]:
     if len(orbit[v]) == 1:
         v, w = w, v
     if len(orbit[w]) == 1:
-        w = spec.point_add(v, w)  # (v, v + w) is still in a regular orbit
+        w = int(T[w, v])  # v + w: (v, v + w) is still in a regular orbit
     if orbit[v] == orbit[w]:
         return [PointSet(G.degree, {0} | orbit[v])]
     return [
@@ -329,23 +353,23 @@ def _verify_witness(G: PermGroup, delta: PointSet, p: int,
 
 
 def constructive_candidates(G: PermGroup, p: int) -> Iterator[tuple[str, PointSet]]:
-    """The recipes' candidates as (stage, Delta), in recipe order.
-
-    H = Stab_G(0) is built from G's chain once, and only when the
-    translation candidate has not decided and G has an affine spec; the
-    other recipes read it.  A recipe whose preconditions fail, or that hits
-    a ResourceLimit, gives no candidate.
+    """The recipes' candidates as (stage, Delta), in recipe order; none when
+    translations(G) finds no V.  H = Stab_G(0) is built from G's chain once,
+    and only when the translation candidate has not decided; the other
+    recipes read it.  A recipe whose preconditions fail, or that hits a
+    ResourceLimit, gives no candidate.
     """
-    yield from _recipe("translation", lambda: [translation_witness(G, p)])
-    if G.affine is None:
+    T = translations(G)
+    if T is None:
         return
+    yield from _recipe("translation", lambda: [translation_witness(G, p, T)])
     H = point_stabilizer_of_zero(G)
     yield from _recipe("regular-vector", lambda: [regular_vector_witness(G, p, H)])
     if p == 2:
         yield from _recipe("regular-triple", lambda: [p2_regular_witness(G, p, H)])
-        yield from _recipe("metacyclic", lambda: [metacyclic_witness(G, p, H)])
+        yield from _recipe("metacyclic", lambda: [metacyclic_witness(G, p, H, T)])
     else:
-        yield from _recipe("orbit-union", lambda: orbit_witness_odd_p(G, p, H))
+        yield from _recipe("orbit-union", lambda: orbit_witness_odd_p(G, p, H, T))
 
 
 def _recipe(stage: str, make) -> list[tuple[str, PointSet]]:

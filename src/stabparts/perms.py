@@ -369,13 +369,8 @@ class PermGroup:
     being built and not yet shared.
     """
 
-    def __init__(
-        self,
-        degree: int,
-        generators: Iterable[Permutation],
-        name: Optional[str] = None,
-        affine=None,
-    ):
+    def __init__(self, degree: int, generators: Iterable[Permutation],
+                 name: Optional[str] = None):
         gens = [g for g in generators if not g.is_identity()]
         for g in gens:
             if g.degree != degree:
@@ -383,7 +378,6 @@ class PermGroup:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self.name = name
-        self.affine = affine  # the AffineSpec of V . H; subgroups do not inherit it
         self._elements: Optional[np.ndarray] = None  # (|G|, n), lex-sorted rows
         self._chain: Optional[StabilizerChain] = None
 
@@ -584,14 +578,15 @@ def centralizing_rows(E: np.ndarray, gens: Iterable[Permutation]) -> np.ndarray:
 
 
 def _order_p_rows(E: np.ndarray, p: int) -> np.ndarray:
-    """Mask of the rows g of a sorted element table with g^p = 1 != g; for
-    p prime these are the elements of order p."""
+    """Mask of the rows g of E with g^p = 1 != g; for p prime these are the
+    elements of order p.  g^p takes O(log p) gathers, as g ** p does."""
     power = E
-    for _ in range(p - 1):
-        power = np.take_along_axis(E, power, axis=1)
-    mask = (power == np.arange(E.shape[1])).all(axis=1)
-    mask[0] = False  # row 0 is the identity
-    return mask
+    for bit in bin(p)[3:]:  # left to right: square, then times g on a 1 bit
+        power = np.take_along_axis(power, power, axis=1)
+        if bit == "1":
+            power = np.take_along_axis(E, power, axis=1)
+    points = np.arange(E.shape[1])
+    return (power == points).all(axis=1) & (E != points).any(axis=1)
 
 
 def _least_element_of_order(H: PermGroup, p: int) -> Optional[Permutation]:

@@ -1,16 +1,16 @@
 """Sylow p-subgroups and the p-structure predicates used by the classifier.
 
 A Sylow subgroup P grows in place, one element of its normalizer's sorted
-rows at a time, and the Frattini subgroup grows in its own chain.  The
-element z of the counting criterion is the least row of Phi(P)'s table of
-order p that commutes with P.  Results are exact and brute-force checkable
-by construction.
+rows at a time, and a normal closure, such as Phi(P), grows in its own
+chain.  The element z of the counting criterion is the least row of Phi(P)'s
+table of order p that commutes with P.  Results are exact and brute-force
+checkable by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .fields import is_prime
 from .perms import PermGroup, Permutation, _order_p_rows, centralizing_rows, normalizer
@@ -92,28 +92,35 @@ def is_elementary_abelian(P: PermGroup, p: int) -> bool:
             and all(g * h == h * g for i, g in enumerate(gens) for h in gens[i + 1:]))
 
 
+def normal_closure(G: PermGroup, gens: Iterable[Permutation],
+                   bound: Optional[int] = None) -> Optional[PermGroup]:
+    """The normal closure of gens in G; None as soon as its order passes bound.
+
+    Each element that is not yet a member joins the generators, and its
+    conjugates by G's generators are queued, last in first out.  When the
+    queue is empty, the conjugates of every generator are members."""
+    closure = G.subgroup((), name="normal closure")
+    pending = list(gens)
+    while pending:
+        h = pending.pop()
+        if closure.grow(h):
+            if bound is not None and closure.order > bound:
+                return None
+            pending += [g.inverse() * h * g for g in G.generators]
+    return closure
+
+
 def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
     """Phi(P) = P^p [P, P] for a p-group: the normal closure in P of the
     generators' p-th powers and pairwise commutators, since P modulo that
-    closure is generated by commuting elements of order p.
-
-    One subgroup grows: each element that is not yet a member joins the
-    generators, and its conjugates by P's generators are queued.
-    When the queue is empty, the conjugates of every generator are members,
-    so the subgroup is normal.
-    """
+    closure is generated by commuting elements of order p."""
     if not is_p_group(P, p):
         raise ValueError("P is not a p-group")
     gens = P.generators
-    phi = P.subgroup((), name="Frattini")
     pending = [g**p for g in gens]
     pending += [a.inverse() * b.inverse() * a * b
                 for i, a in enumerate(gens) for b in gens[i + 1:]]
-    while pending:
-        h = pending.pop()
-        if phi.grow(h):
-            pending += [g.inverse() * h * g for g in gens]
-    return phi
+    return normal_closure(P, pending)
 
 
 def frattini_center_element(P: PermGroup, p: int) -> Optional[Permutation]:

@@ -26,7 +26,7 @@ from stabparts import (
     stab_p_part,
     translation_witness,
 )
-from stabparts.affine import AffineSpec, SemilinearGen, build_affine
+from stabparts.affine import AffineSpec, SemilinearGen, build_affine, group_from_document
 from stabparts import classify, perms
 from stabparts.classify import (
     ConstructorInapplicable,
@@ -34,19 +34,23 @@ from stabparts.classify import (
     _order_p_rows,
     constructive_candidates,
     exhaustive_p_parts,
+    translations,
 )
-from stabparts.kernels import stabilizer_counts
+from stabparts.kernels import MAX_SCAN_BITS, stabilizer_counts
 from stabparts.perms import ResourceLimit
 from stabparts.fields import prime_divisors
 from stabparts.sylow import find_sylow
-from strategies import small_groups
+from strategies import (AFFINE_CATALOG, catalog_spec, closure, relabelled_document,
+                        small_groups, symmetric, wreath)
 
 RECIPES = ("translation", "regular-vector", "regular-triple", "metacyclic", "orbit-union")
 
 # The stage that decides classify_moderation (constructive, seed 0) for every
 # case (G, p) of these catalog groups with p^2 | |G|.  The groups that reach
-# sampling are not built as V . H: from cycles, or as a product over two
-# different fields.
+# sampling have no regular normal elementary abelian subgroup, so they are
+# not V . H: cyclic groups of prime-power degree, and products over two
+# different fields.  Sym(4), written as cycles, is AGL(2,2): its translation
+# W = {0, 1} has Stab(W) = <(0 1), (2 3)>, 2-part 4 of 8.
 PINNED_STAGES = {
     ("AGL(1,4)", 2): "translation",
     ("AGL(1,5)", 2): "regular-vector",
@@ -75,7 +79,7 @@ PINNED_STAGES = {
     ("Product(J,J)", 7): "orbit-union",
     ("Product(AGammaL(1,9),D6)", 2): "metacyclic",
     ("Product(AGammaL(1,9),D6)", 3): "translation",
-    ("Sym(4)", 2): "sampling",
+    ("Sym(4)", 2): "translation",
     ("C4", 2): "sampling",
     ("C8", 2): "sampling",
     ("C9", 3): "sampling",
@@ -334,12 +338,92 @@ class TestRegularOrbits:
         assert regular_orbit_pair(H) == (1, 1)
 
 
+class TestTranslations:
+    @pytest.mark.parametrize("name", AFFINE_CATALOG)
+    def test_catalog_rows_are_the_spec_translations(self, name):
+        self._check_spec(named_group(name), catalog_spec(name))
+
+    @pytest.mark.parametrize("p, k, dim, matrices", [
+        (2, 2, 1, ()),  # GF(4) alone
+        (3, 1, 2, (((2, 0), (0, 2)),)),  # GF(3)^2 . <-1>
+        (11, 1, 2, (((3, 0), (0, 4)), ((0, 1), (1, 0)), ((10, 0), (0, 10)))),  # V(11^2).D20
+    ])
+    def test_built_affine_rows_are_the_spec_translations(self, p, k, dim, matrices):
+        spec = AffineSpec(build_field(p, k), dim, tuple(map(SemilinearGen, matrices)))
+        self._check_spec(build_affine(spec), spec)
+
+    @staticmethod
+    def _check_spec(G, spec):
+        # row v is t_v, the translation x -> x + v
+        n = G.degree
+        assert translations(G).tolist() == [[spec.point_add(x, v) for x in range(n)]
+                                            for v in range(n)]
+
+    @pytest.mark.parametrize("G", [
+        named_group("Product(D6,D10)"), named_group("Product(AGL(1,5),D6)"),
+        named_group("C4"), named_group("C8"), named_group("C9"), wreath(symmetric(5)),
+    ], ids=["D6xD10", "AGL(1,5)xD6", "C4", "C8", "C9", "Sym(5)wr2"])
+    def test_no_translations(self, G):
+        assert translations(G) is None
+
+    def test_nonabelian_closure_is_rejected(self):
+        # D8 acting regularly on 8 points: two reflections close to all of D8
+        D8 = PermGroup.from_cycles(8, ["(0 2)(1 7)(3 6)(4 5)", "(0 1)(2 5)(3 7)(4 6)"])
+        assert (D8.order, translations(D8)) == (8, None)
+
+    def test_closure_that_is_not_semiregular_is_skipped(self):
+        # with t_1, the least candidate for v = 2 closes to C2^3 with two
+        # orbits of size 4; the next candidate closes to C2^2, which grows to V
+        G = PermGroup.from_cycles(8, ["(0 2)(1 6)(3 4)(5 7)", "(0 6)(1 2)", "(3 7)(4 5)",
+                                      "(0 4)(1 3)(2 7)(5 6)"])
+        assert (G.order, translations(G)[:, 0].tolist()) == (16, list(range(8)))
+
+    def test_order_rules_out_sym5_wreath_without_its_table(self):
+        # 28800 does not divide 25 |GL(2,5)| = 12000
+        G = wreath(symmetric(5))
+        assert translations(G) is None and G._elements is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(max_order=720))
+@example(named_group("Sym(4)"))
+@example(named_group("J"))
+@example(named_group("C8"))
+@example(PermGroup.from_cycles(8, ["(0 2)(1 7)(3 6)(4 5)", "(0 1)(2 5)(3 7)(4 6)"]))
+@example(build_affine(AffineSpec(build_field(2, 2), 1)))
+def test_translations_are_regular_normal_elementary_abelian(G):
+    """translations never raises, and returns None or the rows of a regular,
+    normal, elementary abelian subgroup of G, row v taking 0 to v."""
+    T = translations(G)
+    if T is None:
+        return
+    n = G.degree
+    r = prime_divisors(n)[0]
+    rows = [tuple(map(int, row)) for row in T]
+    assert [t[0] for t in rows] == list(range(n))  # regular
+    assert set(rows) <= set(closure(G))
+    identity = tuple(range(n))
+    for a in rows:
+        power = identity
+        for _ in range(r):
+            power = tuple(a[x] for x in power)
+        assert power == identity  # order r, or 1 for t_0
+        for b in rows:  # a subgroup, and abelian
+            assert tuple(b[x] for x in a) == tuple(a[x] for x in b) in rows
+    for g in G.generators:  # normal: g^-1 t g takes x^g to x^(tg)
+        for a in rows:
+            conj = [0] * n
+            for x in range(n):
+                conj[int(g.images[x])] = int(g.images[a[x]])
+            assert tuple(conj) in rows
+
+
 class TestTranslationWitness:
     def test_gf9_with_negation(self):
         F = build_field(3, 1)
         spec = AffineSpec(F, 2, (SemilinearGen(((2, 0), (0, 2)), 0, ()),))
         G = build_affine(spec)  # order 18
-        delta = translation_witness(G, 3)
+        delta = translation_witness(G, 3, translations(G))
         assert delta.sorted_points() == [0, 1, 2]
         part = stab_p_part(G, delta, 3)
         assert 3 <= part < p_part(G.order, 3)
@@ -348,46 +432,58 @@ class TestTranslationWitness:
         F = build_field(2, 2)
         spec = AffineSpec(F, 1, ())
         G = build_affine(spec)
-        assert translation_witness(G, 2).sorted_points() == [0, 1]
+        assert translation_witness(G, 2, translations(G)).sorted_points() == [0, 1]
 
     def test_v_equal_p_rejected(self):
         with pytest.raises(ConstructorInapplicable):
-            translation_witness(named_group("D6"), 3)
+            G = named_group("D6")
+            translation_witness(G, 3, translations(G))
 
     def test_agl23_witness(self):
         G = named_group("AGL(2,3)")
-        delta = translation_witness(G, 3)
+        delta = translation_witness(G, 3, translations(G))
         assert delta.sorted_points() == [0, 1, 2]
         part = stab_p_part(G, delta, 3)
         assert 1 < part < p_part(G.order, 3)
 
     def test_witness_is_an_additive_subgroup(self, zoo):
         for name, G in zoo.items():
-            if G.affine is None or G.degree == G.affine.field.p:
+            if name not in AFFINE_CATALOG:
                 continue
-            p = G.affine.field.p
-            delta = translation_witness(G, p).members
+            spec = catalog_spec(name)
+            p = spec.field.p
+            if G.degree == p:
+                continue
+            delta = translation_witness(G, p, translations(G)).members
             assert len(delta) == p, name
-            assert {G.affine.point_add(a, b) for a in delta for b in delta} == delta, name
+            assert {spec.point_add(a, b) for a in delta for b in delta} == delta, name
+
+    def test_wrong_characteristic_rejected(self):
+        G = named_group("AGL(2,3)")
+        with pytest.raises(ConstructorInapplicable):
+            translation_witness(G, 2, translations(G))
 
 
 class TestSubgroupsAreNotAffine:
-    """Only build_affine and product_action give a group an affine spec: a
-    subgroup of V . H need not be V' . H' for any V'."""
+    """A subgroup of V . H need not be V' . H' for any V': recognition reads
+    each group afresh, so a subgroup has recipes only when it has its own
+    regular normal elementary abelian subgroup."""
 
     def test_row_stabilizer_of_jxj(self, jxj):
         R = setwise_stabilizer(jxj, PointSet(64, range(8)))  # Stab_J(0) x J
-        assert (R.order, R.is_transitive(), R.affine) == (3528, False, None)
+        assert (R.order, R.is_transitive(), translations(R)) == (3528, False, None)
         report = classify_moderation(R, 2)
         assert report.status == "MODERATE" and report.stage not in RECIPES
-        assert find_sylow(R, 2).affine is None
+        assert translations(find_sylow(R, 2)) is None
 
     def test_sylow_3_of_agl23(self):
+        # P = V . <a transvection>, and V = C3^2 is regular and normal in P
         P = find_sylow(named_group("AGL(2,3)"), 3)
-        assert (P.order, P.affine) == (27, None)
+        T = translations(P)
+        assert (P.order, T[:, 0].tolist()) == (27, list(range(9)))
         report = classify_moderation(P, 3)
-        assert report.status == "MODERATE" and report.stage not in RECIPES
-        assert find_sylow(P, 3).affine is None
+        assert (report.status, report.stage) == ("MODERATE", "translation")
+        assert (report.stab_p_part, report.group_p_part) == (9, 27)
 
 
 class TestP2RegularWitness:
@@ -417,33 +513,33 @@ class TestP2RegularWitness:
 class TestMetacyclicWitness:
     def test_shape(self, metacyclic_group):
         G = metacyclic_group
-        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G))
+        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G), translations(G))
         assert len(gamma) == 4
         assert 0 in gamma
 
     def test_stab_two_part_exactly_two(self, metacyclic_group):
         G = metacyclic_group
-        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G))
+        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G), translations(G))
         stab = setwise_stabilizer(G, gamma)
         assert p_part(stab.order, 2) == 2
         assert p_part(G.order, 2) == 4
 
     def test_u_stabilizes_by_construction(self, metacyclic_group):
         G = metacyclic_group
-        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G))
+        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G), translations(G))
         stab = setwise_stabilizer(G, gamma)
         assert any(g.order() == 2 for g in stab.iter_elements())
 
     def test_inapplicable_without_eigenvectors(self):
         with pytest.raises(ConstructorInapplicable):
             G = named_group("D6")
-            metacyclic_witness(G, 2, point_stabilizer_of_zero(G))
+            metacyclic_witness(G, 2, point_stabilizer_of_zero(G), translations(G))
 
 
 class TestOrbitWitnessOddP:
     def test_agl_1_19_at_3(self):
         G = named_group("AGL(1,19)")
-        candidates = orbit_witness_odd_p(G, 3, point_stabilizer_of_zero(G))
+        candidates = orbit_witness_odd_p(G, 3, point_stabilizer_of_zero(G), translations(G))
         sizes = [len(c) for c in candidates]
         # p+1 when the orbits coincide, else 2p+1 and the fallback
         assert sizes in ([4], [7, 5])
@@ -453,12 +549,12 @@ class TestOrbitWitnessOddP:
     def test_requires_odd_p(self):
         with pytest.raises(ConstructorInapplicable):
             G = named_group("Product(D6,D6)")
-            orbit_witness_odd_p(G, 2, point_stabilizer_of_zero(G))
+            orbit_witness_odd_p(G, 2, point_stabilizer_of_zero(G), translations(G))
 
     def test_no_order_p_element(self):
         with pytest.raises(ConstructorInapplicable):
             G = named_group("AGammaL(1,9)")
-            orbit_witness_odd_p(G, 7, point_stabilizer_of_zero(G))
+            orbit_witness_odd_p(G, 7, point_stabilizer_of_zero(G), translations(G))
 
 
 class TestCandidateStream:
@@ -475,6 +571,23 @@ class TestCandidateStream:
             order = named_group(name).order
             squared = {p for p in prime_divisors(order) if order % (p * p) == 0}
             assert squared == {p for n, p in PINNED_STAGES if n == name}, name
+
+    @pytest.mark.parametrize("name, p", list(PINNED_STAGES))
+    def test_relabelling_keeps_verdict_and_stage(self, name, p):
+        # sampling draws depend on the labels, so only recipe stages must stay
+        G = named_group(name)
+        census = G.degree <= MAX_SCAN_BITS
+        histogram = census_histogram(G, p) if census else None
+        for seed in range(3):
+            R = group_from_document(relabelled_document(G, seed))
+            report = classify_moderation(R, p)
+            assert report.status == "MODERATE", seed
+            if PINNED_STAGES[name, p] in RECIPES:
+                assert report.stage == PINNED_STAGES[name, p], seed
+            assert stab_p_part(R, report.witness, p) == report.stab_p_part
+            assert 1 < report.stab_p_part < report.group_p_part
+            if census:
+                assert census_histogram(R, p) == histogram, seed
 
     @pytest.mark.parametrize("name", ["AGammaL(1,9)", "AGL(2,3)", "AGL(1,19)",
                                       "Product(D6,D6)", "Sym(4)"])
@@ -496,7 +609,7 @@ class TestCandidateStream:
                 assert built == []  # |G|_p = p decides by arithmetic
                 continue
             # H is built only after translation fails, and only for V . H
-            expected = int(G.affine is not None and report.stage != "translation")
+            expected = int(translations(G) is not None and report.stage != "translation")
             assert len(built) == expected, (p, report.stage)
 
     def test_resource_limit_on_h_skips_its_recipes(self, monkeypatch):
@@ -513,11 +626,11 @@ def _least_of_order_by_loop(H, p):
     return next((g for g in H.iter_elements() if g.order() == p), None)
 
 
-def _metacyclic_by_loop(G, H):
+def _metacyclic_by_loop(G, H, spec):
     """The least noncentral involution u with a fixed and a negated nonzero
     point, walked one element and one point at a time."""
     def neg(x):
-        return next(y for y in range(G.degree) if G.affine.point_add(x, y) == 0)
+        return next(y for y in range(G.degree) if spec.point_add(x, y) == 0)
 
     for u in H.iter_elements():
         if u.order() != 2 or all(u * h == h * u for h in H.generators):
@@ -553,25 +666,26 @@ class TestTablesMatchElementLoops:
 
     @pytest.mark.parametrize("name", AFFINE)
     def test_metacyclic_choice(self, name):
-        G = named_group(name)
-        self._check_metacyclic(G)
+        self._check_metacyclic(named_group(name), catalog_spec(name))
 
     def test_metacyclic_choice_on_d20(self, metacyclic_group):
-        self._check_metacyclic(metacyclic_group)
+        self._check_metacyclic(metacyclic_group, AffineSpec(build_field(11, 1), 2))
 
     @staticmethod
-    def _check_metacyclic(G):
+    def _check_metacyclic(G, spec):
         H = point_stabilizer_of_zero(G)
         try:
-            table = metacyclic_witness(G, 2, H).sorted_points()
+            table = metacyclic_witness(G, 2, H, translations(G)).sorted_points()
         except ConstructorInapplicable:
             table = None
-        assert table == _metacyclic_by_loop(G, H)
+        assert table == _metacyclic_by_loop(G, H, spec)
 
     @pytest.mark.parametrize("name", AFFINE)
     def test_negation(self, name):
-        spec = named_group(name).affine
-        assert all(spec.point_add(x, int(y)) == 0 for x, y in enumerate(spec.negation))
+        # -v is the point that t_v takes to 0
+        spec = catalog_spec(name)
+        neg = translations(named_group(name)).argmin(axis=1)
+        assert all(spec.point_add(x, int(y)) == 0 for x, y in enumerate(neg))
 
 
 class TestConjugationCovariance:

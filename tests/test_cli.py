@@ -3,7 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from stabparts import PermGroup
+from stabparts import (PermGroup, PointSet, format_cycles, group_from_document, named_group,
+                       stab_p_part)
 from stabparts.cli import (
     EXIT_ERROR,
     EXIT_EXTREME,
@@ -11,6 +12,7 @@ from stabparts.cli import (
     EXIT_MODERATE,
     main,
 )
+from strategies import relabelled_document, symmetric, wreath
 
 
 @pytest.fixture
@@ -51,6 +53,31 @@ class TestClassify:
         payload = _payload(result)
         assert (payload["status"], payload["stage"]) == ("MODERATE", "translation")
         assert payload["witness"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("doc, p", [
+        (relabelled_document(named_group("AGL(1,25)"), 1), 5),
+        (relabelled_document(named_group("AGL(1,27)"), 1), 3),
+        (relabelled_document(wreath(named_group("AGL(1,5)")), 0), 5),
+    ], ids=["AGL(1,25)", "AGL(1,27)", "AGL(1,5)wr2"])
+    def test_affine_generators_decide_at_translation(self, runner, spec_file, doc, p):
+        # degree 25 or 27 is past MAX_SCAN_BITS: without V read off the group
+        # the census refuses them; AGL(1,5) wr 2 is solvable and primitive
+        result = runner.invoke(main, ["classify", spec_file(doc), "--p", str(p)])
+        assert result.exit_code == EXIT_MODERATE, result.stderr
+        payload = _payload(result)
+        assert payload["stage"] == "translation"
+        G = group_from_document(doc)
+        part = stab_p_part(G, PointSet(G.degree, payload["witness"]), p)
+        assert part == payload["stab_p_part"] and 1 < part < payload["group_p_part"]
+
+    def test_sym5_wreath_is_not_affine(self, runner, spec_file):
+        # 28800 does not divide 25 |GL(2,5)|: no recipe, and sampling then the
+        # census, which refuses 25 points
+        G = wreath(symmetric(5))
+        doc = {"degree": 25, "generators": [format_cycles(g) for g in G.generators]}
+        result = runner.invoke(main, ["classify", spec_file(doc), "--p", "5"])
+        assert result.exit_code == EXIT_ERROR
+        assert "MAX_SCAN_BITS" in result.stderr
 
     @pytest.mark.parametrize("command", ["classify", "witness"])
     def test_table_bound_refused_before_h_is_built(self, runner, spec_file, monkeypatch,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stabparts import build_field, named_group, parse_cycles, PermGroup
+from stabparts import build_field, named_group, parse_cycles, Permutation, PermGroup
 from stabparts.affine import (
     AffineSpec,
     SemilinearGen,
@@ -15,6 +15,7 @@ from stabparts.affine import (
     group_from_document,
     product_action,
 )
+from stabparts.classify import translations
 from stabparts.fields import _MODULI, is_prime, prime_divisors
 
 
@@ -206,16 +207,14 @@ class TestBuildAffine:
             build_affine(spec)
 
     def test_translations_act_regularly(self, zoo):
-        # exactly one translation maps 0 to each point
-        for name, G in zoo.items():
-            if G.affine is None:
-                continue
-            translations = [
-                row for row in G.elements
-                if _is_translation(G.affine, row)
-            ]
-            assert len(translations) == G.degree, name
-            assert sorted(int(r[0]) for r in translations) == list(range(G.degree))
+        # exactly one translation maps 0 to each point, and each is in G
+        affine = {name for name, G in zoo.items() if translations(G) is not None}
+        assert affine == set(zoo) - {"C4"}
+        for name in affine:
+            G = zoo[name]
+            T = translations(G)
+            assert T[:, 0].tolist() == list(range(G.degree)), name
+            assert all(Permutation(row) in G for row in T), name
 
 
 def _semilinear_images(F, dim, gen):
@@ -396,10 +395,9 @@ class TestGroupDocuments:
 
 
 def test_product_keeps_affine_structure():
-    G = named_group("Product(D6,D6)")
-    assert G.affine is not None
-    assert G.affine.dim == 2
-    assert tuple(G.affine.coords[4]) == (1, 1)
+    # D6 x D6 is affine over GF(3)^2, and its point (a, b) is 3a + b
+    T = translations(named_group("Product(D6,D6)"))
+    assert (int(T[3, 1]), int(T[4, 4]), int(T[8, 4])) == (4, 8, 0)
 
 
 @pytest.mark.parametrize("name, p, dim", [("Product(AGammaL(1,9),D6)", 3, 3),
@@ -407,11 +405,12 @@ def test_product_keeps_affine_structure():
 def test_product_over_one_characteristic_is_affine(name, p, dim):
     # GF(p^k)^d is GF(p)^(kd), with the same base-p numbering of the points
     G = named_group(name)
-    assert (G.affine.field.q, G.affine.dim) == (p, dim)
-    translations = [row for row in G.elements if _is_translation(G.affine, row)]
-    assert sorted(int(r[0]) for r in translations) == list(range(G.degree))
+    T = translations(G)
+    spec = AffineSpec(build_field(p, 1), dim)
+    assert T.shape == (spec.num_points, G.degree)
+    assert all(_is_translation(spec, row) for row in T)
 
 
 def test_mixed_characteristic_product_is_not_affine():
     for name in ("Product(D6,D10)", "Product(AGL(1,5),D6)"):
-        assert named_group(name).affine is None
+        assert translations(named_group(name)) is None
