@@ -12,14 +12,13 @@ sigma: x -> x^(p^e) applied entrywise.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .fields import MAX_Q, FiniteField, build_field, prime_divisors
+from .fields import MAX_Q, FiniteField, build_field, prime_power
 from .perms import MAX_DEGREE, PermGroup, Permutation, ResourceLimit, parse_cycles
 
 
@@ -152,7 +151,10 @@ def named_group(name: str) -> PermGroup:
         g = build_field(p, k).primitive_element()
         return _catalog_affine(p, k, 1, f"AGammaL(1,{p**k})", [((g,),)], frobenius=True)
     if key.startswith("AGL(1,") and key.endswith(")"):
-        p, k = _factor_prime_power(_named_degree(key[len("AGL(1,"):-1], name))
+        power = prime_power(_named_degree(key[len("AGL(1,"):-1], name))
+        if power is None:
+            raise ValueError("not a prime power")
+        p, k = power
         g = build_field(p, k).primitive_element()
         return _catalog_affine(p, k, 1, f"AGL(1,{p**k})", [((g,),)])
     if key == "AGL(2,3)":  # GL(2,3) = <transvections, diag(2,1)>, order 48
@@ -184,13 +186,6 @@ def _split_top_level(s: str) -> tuple[str, str]:
         elif ch == "," and depth == 0:
             return s[:i], s[i + 1:]
     raise ValueError(f"expected two comma-separated names in {s!r}")
-
-
-def _factor_prime_power(q: int) -> tuple[int, int]:
-    primes = prime_divisors(q)
-    if len(primes) != 1:
-        raise ValueError("not a prime power")
-    return primes[0], round(math.log(q, primes[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,17 @@ def sylow_cover_bound(G: PermGroup, p: int, sylow: SylowData) -> CoverBound:
     coarse = None
     z = frattini_center_element(P, p)
     if z is not None:
-        f, den = int(np.count_nonzero(z.images == np.arange(G.degree))), p * p
+        f, den = _fixed_points(z), p * p
         # f + (n - f)/p^2 may be fractional; ceil gives a valid integer bound
         num = f * den + (G.degree - f)
         coarse = sylow.count * (1 << ((num + den - 1) // den))
         if exact > coarse:  # pragma: no cover - ruled out by the orbit floor
             raise AssertionError("exact union bound exceeded the coarse bound")
     return CoverBound(sylow.count, r, exact, coarse)
+
+
+def _fixed_points(z: Permutation) -> int:
+    return int(np.count_nonzero(z.images == np.arange(z.degree)))
 
 
 @dataclass
@@ -80,7 +84,10 @@ class CountingCertificate:
     z: Permutation
     fixed_points: int
     sylow_norm_index: int  # n_p = |G : N_G(P)|
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:  # True certifies p-moderation
+        return self.lhs_power < self.rhs_power
 
     @property
     def lhs_power(self) -> int:
@@ -120,13 +127,11 @@ def prop_certificate(G: PermGroup, p: int) -> CountingCertificate:
             "Sylow p-subgroup is elementary abelian; the criterion is silent"
         )
     n = G.degree
-    f = int(np.count_nonzero(z.images == np.arange(n)))
+    f = _fixed_points(z)
     if (n - f) % p != 0:  # pragma: no cover - z has order p
         raise AssertionError("non-fixed points of z must fall in p-cycles")
     count = G.order // len(normalizer(G, P))  # n_p = |G : N_G(P)|
-    cert = CountingCertificate(p, n, z, f, count, verdict=False)
-    cert.verdict = cert.lhs_power < cert.rhs_power
-    return cert
+    return CountingCertificate(p, n, z, f, count)
 
 
 def orbit_size_floor_check(P: PermGroup, p: int, z: Permutation) -> bool:

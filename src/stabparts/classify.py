@@ -19,12 +19,11 @@ constructive strategy first verifies one stream of candidates, the witness
 recipes' and then seeded random subsets, and ends in the census like the
 exhaustive one, so the two can never disagree.  The recipes, the proof's
 cases for affine G = V . H, read V off the table that translations finds in
-G however G is written, and the later ones the linear part H = Stab_G(0),
-conjugated off G's stabilizer chain once per classification: the regular
-vector comes from H's orbits, and only the recipes after it read H's
-element table.  Witness constructors are candidate generators only: the
-verifier (stab_p_part, which filters the element rows point by point over
-Delta or its complement) alone accepts them.
+G however G is written, and the later ones the linear part H = Stab_G(0) as
+the rows of G's table that fix 0, picked by the verifier's own row filter.
+Witness constructors are candidate generators only: the verifier
+(stab_p_part, which filters the element rows point by point over Delta or
+its complement) alone accepts them.
 """
 
 from __future__ import annotations
@@ -38,13 +37,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import kernels
-from .fields import prime_divisors
+from .fields import prime_power
 from .perms import (PermGroup, Permutation, PointSet, ResourceLimit, _least_element_of_order,
                     _order_p_rows, centralizing_rows, orbits, point_stabilizer_of_zero)
 from .sylow import is_elementary_abelian, is_p_group, normal_closure, p_part
 
 SAMPLING_TRIALS = 200
-MAX_VECTOR_PAIRS = 1 << 22  # regular_orbit_pair scans at most this many (v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +131,8 @@ def _orbit_sizes(G: PermGroup) -> np.ndarray:
 # The translations V and the linear part H, read off G
 # ---------------------------------------------------------------------------
 #
-# H.elements is lexicographically sorted, so row 0 is the identity and
-# H.elements[1:] are the non-identity rows.
+# H is the table of the rows of G.elements that fix 0, still lexicographically
+# sorted, so row 0 is the identity and H[1:] are the non-identity rows.
 
 
 def translations(G: PermGroup) -> Optional[np.ndarray]:
@@ -147,10 +145,10 @@ def translations(G: PermGroup) -> Optional[np.ndarray]:
     order r that moves every point and takes 0 to v, the least point outside
     0^N, such that M is elementary abelian with |0^M| = |M| <= n."""
     n = G.degree
-    primes = prime_divisors(n)
-    if len(primes) != 1 or not G.is_transitive():
+    power = prime_power(n)
+    if power is None or not G.is_transitive():
         return None
-    r, d = primes[0], round(math.log(n, primes[0]))
+    r, d = power
     if n * math.prod(n - r**i for i in range(d)) % G.order:  # G <= AGL(d, r)
         return None
     E, points = G.elements, np.arange(n)
@@ -169,24 +167,23 @@ def translations(G: PermGroup) -> Optional[np.ndarray]:
     return N.elements
 
 
-def regular_orbit_vector(H: PermGroup) -> Optional[int]:
-    """Least point with trivial H-stabilizer, or None: by orbit-stabilizer,
-    the least point of the first H-orbit of length |H|."""
-    return next((orbit[0] for orbit in H.orbits() if len(orbit) == H.order), None)
+def regular_orbit_vector(H: np.ndarray) -> Optional[int]:
+    """Least point that no non-identity row of H fixes, or None: by
+    orbit-stabilizer, the least point of a regular H-orbit (0 for trivial H)."""
+    free = np.flatnonzero((H[1:] != np.arange(H.shape[1])).all(axis=0))
+    return int(free[0]) if free.size else None
 
 
-def regular_orbit_pair(H: PermGroup) -> Optional[tuple[int, int]]:
+def regular_orbit_pair(H: np.ndarray) -> Optional[tuple[int, int]]:
     """Least pair (v, w) of nonzero vectors with trivial joint H-stabilizer
     on V + V, or None.
 
     The non-identity rows' fixed-point sets are computed once, so the scan
-    costs |H| bit operations per candidate v rather than an orbit each.
+    costs |H| bit operations per candidate v rather than an orbit each, at
+    most |H| * n^2 = |G| * n in all: the size of G's table.
     """
-    n = H.degree
-    if n * n > MAX_VECTOR_PAIRS:
-        raise ResourceLimit(f"{n * n} vector pairs exceed bound {MAX_VECTOR_PAIRS}")
-    fixes = H.elements[1:] == np.arange(n)  # (|H| - 1, n): row i fixes x
-    for v in range(1, n):
+    fixes = H[1:] == np.arange(H.shape[1])  # (|H| - 1, n): row i fixes x
+    for v in range(1, H.shape[1]):
         free = np.flatnonzero(~fixes[fixes[:, v]].any(axis=0)[1:])
         if free.size:
             return (v, int(free[0]) + 1)
@@ -215,7 +212,7 @@ def translation_witness(G: PermGroup, p: int, T: np.ndarray) -> PointSet:
     return PointSet(G.degree, line)
 
 
-def regular_vector_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
+def regular_vector_witness(G: PermGroup, p: int, H: np.ndarray) -> PointSet:
     """Delta = {0, v} with v in a regular H-orbit (the direct-product recipe)."""
     v = regular_orbit_vector(H)
     if not v:
@@ -223,7 +220,7 @@ def regular_vector_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
     return PointSet(G.degree, [0, v])
 
 
-def p2_regular_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
+def p2_regular_witness(G: PermGroup, p: int, H: np.ndarray) -> PointSet:
     """Gamma = {0, v, vt}: v regular for H, t an involution in H."""
     if p != 2:
         raise ConstructorInapplicable("recipe is specific to p = 2")
@@ -236,20 +233,20 @@ def p2_regular_witness(G: PermGroup, p: int, H: PermGroup) -> PointSet:
     return PointSet(G.degree, [0, v, int(t.images[v])])
 
 
-def metacyclic_witness(G: PermGroup, p: int, H: PermGroup, T: np.ndarray) -> PointSet:
+def metacyclic_witness(G: PermGroup, p: int, H: np.ndarray, T: np.ndarray) -> PointSet:
     """Gamma = {0, w, v, -v}: u a noncentral involution of H, wu = w, vu = -v.
 
-    u is the least such row of H's table, w and v the least such points.
+    u is the least such row of H, w and v the least such points.  Centrality
+    is tested against generators of G_0 conjugated off G's chain.
     """
     if p != 2:
         raise ConstructorInapplicable("recipe is specific to p = 2")
     neg = T.argmin(axis=1)  # -v is the point that t_v takes to 0
-    E = H.elements
-    central = centralizing_rows(E, H.generators)
+    central = centralizing_rows(H, point_stabilizer_of_zero(G).generators)
     points = np.arange(G.degree)
-    fixed = (E == points)[:, 1:]
-    negated = ((E == neg) & (neg != points))[:, 1:]
-    rows = np.flatnonzero(_order_p_rows(E, 2) & ~central
+    fixed = (H == points)[:, 1:]
+    negated = ((H == neg) & (neg != points))[:, 1:]
+    rows = np.flatnonzero(_order_p_rows(H, 2) & ~central
                           & fixed.any(axis=1) & negated.any(axis=1))
     if rows.size == 0:
         raise ConstructorInapplicable(
@@ -260,7 +257,7 @@ def metacyclic_witness(G: PermGroup, p: int, H: PermGroup, T: np.ndarray) -> Poi
     return PointSet(G.degree, [0, w, v, int(neg[v])])
 
 
-def orbit_witness_odd_p(G: PermGroup, p: int, H: PermGroup, T: np.ndarray) -> list[PointSet]:
+def orbit_witness_odd_p(G: PermGroup, p: int, H: np.ndarray, T: np.ndarray) -> list[PointSet]:
     """Candidates from the odd-p argument: orbit unions of a regular pair.
 
     Returns {0} u O1 when the two t-orbits coincide, else both
@@ -354,16 +351,16 @@ def _verify_witness(G: PermGroup, delta: PointSet, p: int,
 
 def constructive_candidates(G: PermGroup, p: int) -> Iterator[tuple[str, PointSet]]:
     """The recipes' candidates as (stage, Delta), in recipe order; none when
-    translations(G) finds no V.  H = Stab_G(0) is built from G's chain once,
-    and only when the translation candidate has not decided; the other
-    recipes read it.  A recipe whose preconditions fail, or that hits a
-    ResourceLimit, gives no candidate.
+    translations(G) finds no V.  H = Stab_G(0) is read once, and only when
+    the translation candidate has not decided: the rows of G's table that fix
+    {0}, by the filter that verifies every candidate.  The other recipes read
+    that table.  A recipe whose preconditions fail gives no candidate.
     """
     T = translations(G)
     if T is None:
         return
     yield from _recipe("translation", lambda: [translation_witness(G, p, T)])
-    H = point_stabilizer_of_zero(G)
+    H = G.elements[_stabilizing_rows(G, PointSet(G.degree, [0]))]
     yield from _recipe("regular-vector", lambda: [regular_vector_witness(G, p, H)])
     if p == 2:
         yield from _recipe("regular-triple", lambda: [p2_regular_witness(G, p, H)])
@@ -375,7 +372,7 @@ def constructive_candidates(G: PermGroup, p: int) -> Iterator[tuple[str, PointSe
 def _recipe(stage: str, make) -> list[tuple[str, PointSet]]:
     try:
         return [(stage, delta) for delta in make()]
-    except (ConstructorInapplicable, ResourceLimit):
+    except ConstructorInapplicable:
         return []
 
 
@@ -409,9 +406,6 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
         # no p-power lies strictly between 1 and p: EXTREME by arithmetic
         report.note = "|G|_p = p: moderation is impossible"
     elif strategy == "constructive":
-        # every candidate is verified on G's table: refuse it before any
-        # recipe builds H's
-        G.elements
         candidates = chain(constructive_candidates(G, p), _sampled(n, seed))
     for stage, delta in candidates:
         part = _verify_witness(G, delta, p, gp)

@@ -46,13 +46,21 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(r, d) with n = r^d for a prime r and d >= 1, or None."""
+    primes = prime_divisors(n)
+    if len(primes) != 1:
+        return None
+    return primes[0], next(d for d in range(1, n.bit_length()) if primes[0]**d == n)
+
+
 def is_prime(n: int) -> bool:
     return prime_divisors(n) == [n]
 
 
 class FiniteField:
-    """GF(p^k) with dense lookup tables: addition and multiplication,
-    negation (neg_table) and the Frobenius map a -> a^p (frobenius_table)."""
+    """GF(p^k) with dense lookup tables: addition and multiplication, and
+    the Frobenius map a -> a^p (frobenius_table)."""
 
     def __init__(self, p: int, k: int):
         if not is_prime(p):
@@ -72,12 +80,9 @@ class FiniteField:
                 raise ValueError(f"no modulus on file for GF({p}^{k})") from None
         self.add_table, self.mul_table = self._build_tables()
         self._check_inverses()
-        # each row of add_table holds one zero, in the column of -a
-        self.neg_table = np.nonzero(self.add_table == 0)[1].astype(np.int16)
         self.frobenius_table = np.ones(q, dtype=np.int16)  # a -> a^p
         for _ in range(p):
             self.frobenius_table = self.mul_table[self.frobenius_table, np.arange(q)]
-        self.neg_table.setflags(write=False)
         self.frobenius_table.setflags(write=False)
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -589,10 +589,10 @@ def _order_p_rows(E: np.ndarray, p: int) -> np.ndarray:
     return (power == points).all(axis=1) & (E != points).any(axis=1)
 
 
-def _least_element_of_order(H: PermGroup, p: int) -> Optional[Permutation]:
-    """The least element of prime order p of H, or None."""
-    rows = np.flatnonzero(_order_p_rows(H.elements, p))
-    return Permutation._trusted(H.elements[rows[0]]) if rows.size else None
+def _least_element_of_order(E: np.ndarray, p: int) -> Optional[Permutation]:
+    """The least element of prime order p in the sorted element table E, or None."""
+    rows = np.flatnonzero(_order_p_rows(E, p))
+    return Permutation._trusted(E[rows[0]]) if rows.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +601,7 @@ def _least_element_of_order(H: PermGroup, p: int) -> Optional[Permutation]:
 
 
 def point_stabilizer_of_zero(G: PermGroup) -> PermGroup:
-    """The linear part H = Stab_G(0) of an affine group, read off the chain.
+    """G_0 = Stab_G(0), read off the chain, for block search and the metacyclic recipe.
 
     The strong generators of depth >= 1 generate G_b, b the first base
     point; conjugating each by the level-0 representative u with b^u = 0

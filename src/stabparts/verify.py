@@ -145,7 +145,7 @@ def product_counting(seed: int = 0, trials: int = 1000) -> list[Check]:
 
 
 def _order3_first_factor_element(J) -> Permutation:
-    t3 = _least_element_of_order(J, 3)
+    t3 = _least_element_of_order(J.elements, 3)
     return product_action(J.subgroup([t3]), PermGroup.trivial(8)).generators[0]
 
 

@@ -27,12 +27,11 @@ from stabparts import (
     translation_witness,
 )
 from stabparts.affine import AffineSpec, SemilinearGen, build_affine, group_from_document
-from stabparts import classify, perms
+from stabparts import classify
 from stabparts.classify import (
     ConstructorInapplicable,
     _least_element_of_order,
     _order_p_rows,
-    constructive_candidates,
     exhaustive_p_parts,
     translations,
 )
@@ -312,30 +311,71 @@ def test_census_matches_element_scan(G):
             assert report.concealed == all(part == gp for part in parts)
 
 
+def linear_part(G):
+    """H = Stab_G(0) as a sorted element table, from its own chain: the
+    recipes take the rows of G's table that fix 0, which are equal."""
+    return point_stabilizer_of_zero(G).elements
+
+
+def _regular_pair_by_scan(H):
+    """The least nonzero (v, w) that no non-identity row of H fixes both."""
+    n, rows = H.shape[1], H[1:].tolist()
+    return next(((v, w) for v in range(1, n) for w in range(1, n)
+                 if not any(h[v] == v and h[w] == w for h in rows)), None)
+
+
 class TestRegularOrbits:
     def test_signs_on_gf5(self):
-        H = point_stabilizer_of_zero(named_group("D10"))
-        assert regular_orbit_vector(H) == 1
+        assert regular_orbit_vector(linear_part(named_group("D10"))) == 1
 
     def test_diagonal_signs_on_gf3_squared(self):
-        H = point_stabilizer_of_zero(named_group("Product(D6,D6)"))
+        H = linear_part(named_group("Product(D6,D6)"))
         pair = regular_orbit_pair(H)
         assert pair is not None
         v, w = pair
         # brute-force: no non-identity element fixes both
-        for g in H.iter_elements():
-            if not g.is_identity():
-                assert not (g(v) == v and g(w) == w)
+        for h in H[1:]:
+            assert not (h[v] == v and h[w] == w)
 
     def test_gammal18_has_no_regular_vector(self):
         # GL(1,8) . Frobenius has order 21 > 7 nonzero points
-        H = point_stabilizer_of_zero(named_group("J"))
-        assert H.order == 21
+        H = linear_part(named_group("J"))
+        assert H.shape[0] == 21
         assert regular_orbit_vector(H) is None
 
     def test_pair_least_in_point_order(self):
-        H = point_stabilizer_of_zero(named_group("D10"))
-        assert regular_orbit_pair(H) == (1, 1)
+        assert regular_orbit_pair(linear_part(named_group("D10"))) == (1, 1)
+
+    def test_pair_on_2187_points(self):
+        # 2187^2 pairs: the scan is bounded by the table, not by a pair count.
+        # The involution fixes 0..9 and the middle point 1098 of the reversed
+        # rest, so v = 1 pairs first with w = 10.
+        n = 3**7
+        g = np.arange(n)
+        g[10:] = g[10:][::-1]
+        H = np.stack([np.arange(n), g])
+        assert regular_orbit_pair(H) == _regular_pair_by_scan(H) == (1, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(max_order=720))
+@example(named_group("AGL(2,3)"))
+@example(named_group("J"))
+@example(named_group("Product(D6,D6)"))
+@example(named_group("C4"))  # regular: H is trivial and the vector is 0
+def test_h_is_g_rows_fixing_zero(G):
+    """On transitive G: the rows of G's table that fix {0} are G_0's table
+    built from its own chain, and the table recipes' regular vector and
+    pair are the orbit definition and the brute-force pair scan."""
+    if not G.is_transitive():
+        return
+    n = G.degree
+    H0 = point_stabilizer_of_zero(G)
+    H = G.elements[classify._stabilizing_rows(G, PointSet(n, [0]))]
+    assert np.array_equal(H, H0.elements)
+    regular = [orbit[0] for orbit in H0.orbits() if len(orbit) == H0.order]
+    assert regular_orbit_vector(H) == (regular[0] if regular else None)
+    assert regular_orbit_pair(H) == _regular_pair_by_scan(H)
 
 
 class TestTranslations:
@@ -489,57 +529,57 @@ class TestSubgroupsAreNotAffine:
 class TestP2RegularWitness:
     def test_triple_shape(self):
         G = named_group("Product(D6,D6)")
-        gamma = p2_regular_witness(G, 2, point_stabilizer_of_zero(G))
+        gamma = p2_regular_witness(G, 2, linear_part(G))
         assert len(gamma) == 3
         assert 0 in gamma
 
     def test_verifies_on_d6xd6(self):
         G = named_group("Product(D6,D6)")
-        gamma = p2_regular_witness(G, 2, point_stabilizer_of_zero(G))
+        gamma = p2_regular_witness(G, 2, linear_part(G))
         assert stab_p_part(G, gamma, 2) == 2
 
     def test_vt_differs_from_v(self):
         # regularity forces vt != v for any involution t
         G = named_group("Product(D6,D6)")
-        gamma = p2_regular_witness(G, 2, point_stabilizer_of_zero(G))
+        gamma = p2_regular_witness(G, 2, linear_part(G))
         assert len(gamma.members) == 3
 
     def test_no_regular_vector(self):
         with pytest.raises(ConstructorInapplicable):
             G = named_group("J")
-            p2_regular_witness(G, 2, point_stabilizer_of_zero(G))
+            p2_regular_witness(G, 2, linear_part(G))
 
 
 class TestMetacyclicWitness:
     def test_shape(self, metacyclic_group):
         G = metacyclic_group
-        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G), translations(G))
+        gamma = metacyclic_witness(G, 2, linear_part(G), translations(G))
         assert len(gamma) == 4
         assert 0 in gamma
 
     def test_stab_two_part_exactly_two(self, metacyclic_group):
         G = metacyclic_group
-        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G), translations(G))
+        gamma = metacyclic_witness(G, 2, linear_part(G), translations(G))
         stab = setwise_stabilizer(G, gamma)
         assert p_part(stab.order, 2) == 2
         assert p_part(G.order, 2) == 4
 
     def test_u_stabilizes_by_construction(self, metacyclic_group):
         G = metacyclic_group
-        gamma = metacyclic_witness(G, 2, point_stabilizer_of_zero(G), translations(G))
+        gamma = metacyclic_witness(G, 2, linear_part(G), translations(G))
         stab = setwise_stabilizer(G, gamma)
         assert any(g.order() == 2 for g in stab.iter_elements())
 
     def test_inapplicable_without_eigenvectors(self):
         with pytest.raises(ConstructorInapplicable):
             G = named_group("D6")
-            metacyclic_witness(G, 2, point_stabilizer_of_zero(G), translations(G))
+            metacyclic_witness(G, 2, linear_part(G), translations(G))
 
 
 class TestOrbitWitnessOddP:
     def test_agl_1_19_at_3(self):
         G = named_group("AGL(1,19)")
-        candidates = orbit_witness_odd_p(G, 3, point_stabilizer_of_zero(G), translations(G))
+        candidates = orbit_witness_odd_p(G, 3, linear_part(G), translations(G))
         sizes = [len(c) for c in candidates]
         # p+1 when the orbits coincide, else 2p+1 and the fallback
         assert sizes in ([4], [7, 5])
@@ -549,12 +589,12 @@ class TestOrbitWitnessOddP:
     def test_requires_odd_p(self):
         with pytest.raises(ConstructorInapplicable):
             G = named_group("Product(D6,D6)")
-            orbit_witness_odd_p(G, 2, point_stabilizer_of_zero(G), translations(G))
+            orbit_witness_odd_p(G, 2, linear_part(G), translations(G))
 
     def test_no_order_p_element(self):
         with pytest.raises(ConstructorInapplicable):
             G = named_group("AGammaL(1,9)")
-            orbit_witness_odd_p(G, 7, point_stabilizer_of_zero(G), translations(G))
+            orbit_witness_odd_p(G, 7, linear_part(G), translations(G))
 
 
 class TestCandidateStream:
@@ -592,34 +632,28 @@ class TestCandidateStream:
     @pytest.mark.parametrize("name", ["AGammaL(1,9)", "AGL(2,3)", "AGL(1,19)",
                                       "Product(D6,D6)", "Sym(4)"])
     def test_h_built_at_most_once(self, monkeypatch, name):
-        G = named_group(name)
+        # H is a slice of G's table: the only tables built are G's and V's
         built = []
-        build = classify.point_stabilizer_of_zero
-        monkeypatch.setattr(classify, "point_stabilizer_of_zero",
-                            lambda G: built.append(G) or build(G))
+        enumerate_ = PermGroup._enumerate
+        monkeypatch.setattr(PermGroup, "_enumerate",
+                            lambda G: built.append(G.order) or enumerate_(G))
 
         def walked(self):
             raise AssertionError("a recipe walked the elements one by one")
 
         monkeypatch.setattr(PermGroup, "iter_elements", walked)
-        for p in prime_divisors(G.order):
+        order = named_group(name).order
+        for p in prime_divisors(order):
+            G = named_group(name)
             built.clear()
-            report = classify_moderation(G, p)
-            if G.order % (p * p):
-                assert built == []  # |G|_p = p decides by arithmetic
+            classify_moderation(G, p)
+            tables = list(built)
+            if order % (p * p):  # |G|_p = p: no recipe runs, the census may read G's
+                assert tables in ([], [order]), p
                 continue
-            # H is built only after translation fails, and only for V . H
-            expected = int(translations(G) is not None and report.stage != "translation")
-            assert len(built) == expected, (p, report.stage)
-
-    def test_resource_limit_on_h_skips_its_recipes(self, monkeypatch):
-        G = named_group("AGL(2,3)")
-        G.elements  # |G| = 432: built before the bound drops below it
-        H_bytes = point_stabilizer_of_zero(G).order * G.degree * 4
-        monkeypatch.setattr(perms, "MAX_TABLE_BYTES", H_bytes - 1)
-        assert list(constructive_candidates(G, 2)) == []  # translation needs p = 3
-        report = classify_moderation(G, 2)
-        assert report.status == "MODERATE" and report.stage not in RECIPES
+            # translations builds G's table, then V's (|V| = n) for V . H
+            affine = translations(G) is not None
+            assert tables == [order] + [G.degree] * affine, p
 
 
 def _least_of_order_by_loop(H, p):
@@ -653,7 +687,7 @@ class TestTablesMatchElementLoops:
         for p in (2, 3, 5, 7):
             mask = _order_p_rows(H.elements, p)
             assert mask.tolist() == [g.order() == p for g in H.iter_elements()]
-            assert _least_element_of_order(H, p) == _least_of_order_by_loop(H, p)
+            assert _least_element_of_order(H.elements, p) == _least_of_order_by_loop(H, p)
 
     @pytest.mark.parametrize("name", AFFINE)
     def test_h_and_regular_vector_match_g_table(self, name):
@@ -662,7 +696,7 @@ class TestTablesMatchElementLoops:
         zero = PointSet(G.degree, [0])
         assert np.array_equal(H.elements, G.elements[classify._stabilizing_rows(G, zero)])
         free = np.flatnonzero((H.elements[1:] != np.arange(G.degree)).all(axis=0))
-        assert regular_orbit_vector(H) == (int(free[0]) if free.size else None)
+        assert regular_orbit_vector(H.elements) == (int(free[0]) if free.size else None)
 
     @pytest.mark.parametrize("name", AFFINE)
     def test_metacyclic_choice(self, name):
@@ -675,7 +709,7 @@ class TestTablesMatchElementLoops:
     def _check_metacyclic(G, spec):
         H = point_stabilizer_of_zero(G)
         try:
-            table = metacyclic_witness(G, 2, H, translations(G)).sorted_points()
+            table = metacyclic_witness(G, 2, H.elements, translations(G)).sorted_points()
         except ConstructorInapplicable:
             table = None
         assert table == _metacyclic_by_loop(G, H, spec)

@@ -82,8 +82,9 @@ class TestClassify:
     @pytest.mark.parametrize("command", ["classify", "witness"])
     def test_table_bound_refused_before_h_is_built(self, runner, spec_file, monkeypatch,
                                                    command):
-        # AGL(3,4) at p = 3: G's table would take 2.97 GB, H = GL(3,4)'s 46 MB;
-        # every candidate is verified on G's table, so no table is built at all
+        # AGL(3,4) at p = 3: G's table would take 2.97 GB, and H = GL(3,4) is
+        # its rows that fix 0; every candidate is verified on G's table, so no
+        # table is built at all
         built = []
         enumerate_ = PermGroup._enumerate
         monkeypatch.setattr(PermGroup, "_enumerate",

@@ -10,13 +10,12 @@ from stabparts import build_field, named_group, parse_cycles, Permutation, PermG
 from stabparts.affine import (
     AffineSpec,
     SemilinearGen,
-    _factor_prime_power,
     build_affine,
     group_from_document,
     product_action,
 )
 from stabparts.classify import translations
-from stabparts.fields import _MODULI, is_prime, prime_divisors
+from stabparts.fields import _MODULI, is_prime, prime_divisors, prime_power
 
 
 ALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
@@ -38,11 +37,7 @@ def test_prime_helpers_match_definitions():
     for n in range(top + 1):
         assert prime_divisors(n) == ([d for d in primes if n % d == 0] if n else []), n
         assert is_prime(n) == sieve[n], n
-        if n in powers:
-            assert _factor_prime_power(n) == powers[n], n
-        else:
-            with pytest.raises(ValueError):
-                _factor_prime_power(n)
+        assert prime_power(n) == powers.get(n), n
 
 
 @pytest.mark.parametrize("p,k", ALL_FIELDS)
@@ -59,7 +54,7 @@ def test_field_axioms_exhaustive(p, k):
         assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
     for a in range(q):
         assert add[a, 0] == a and mul[a, 1] == a and mul[a, 0] == 0
-        assert add[a, F.neg_table[a]] == 0
+        assert np.count_nonzero(add[a] == 0) == 1  # a has exactly one negative
     for a in range(1, q):
         assert np.count_nonzero(mul[a] == 1) == 1  # a has exactly one inverse
 
@@ -185,13 +180,13 @@ class TestVectorIndexing:
 class TestBuildAffine:
     def test_d6_on_gf3(self):
         F = build_field(3, 1)
-        spec = AffineSpec(F, 1, (SemilinearGen(((int(F.neg_table[1]),),), 0, ()),))
+        spec = AffineSpec(F, 1, (SemilinearGen(((2,),), 0, ()),))  # -1 = q - 1
         G = build_affine(spec)
         assert (G.degree, G.order) == (3, 6)
 
     def test_d10_on_gf5(self):
         F = build_field(5, 1)
-        spec = AffineSpec(F, 1, (SemilinearGen(((int(F.neg_table[1]),),), 0, ()),))
+        spec = AffineSpec(F, 1, (SemilinearGen(((4,),), 0, ()),))  # -1 = q - 1
         G = build_affine(spec)
         assert (G.degree, G.order) == (5, 10)
 
@@ -328,6 +323,10 @@ class TestNamedCatalog:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             named_group("E8")
+
+    def test_agl1_of_non_prime_power(self):
+        with pytest.raises(ValueError, match="^not a prime power$"):
+            named_group("AGL(1,6)")
 
     def test_affine_d6_matches_cycle_d6(self):
         A = named_group("D6")

@@ -30,7 +30,7 @@ def test_run_all_builds_no_stabilizer_subgroup(monkeypatch):
 def test_order3_element_is_product_action_encoding():
     # the reference keeps the pair encoding (a, b) -> a * 8 + b written out
     J = named_group("J")
-    t3 = _least_element_of_order(J, 3)
+    t3 = _least_element_of_order(J.elements, 3)
     idx = np.arange(64, dtype=np.int32)
     expected = Permutation(t3.images[idx // 8] * 8 + idx % 8)
     assert verify._order3_first_factor_element(J) == expected
