@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterable, Optional
 
 import numpy as np
@@ -31,6 +32,11 @@ def subsets_fixed_count(gens: Iterable[Permutation] | Permutation,
     return 1 << len(orbits(list(gens), degree))
 
 
+def _decimal(x: int) -> str:
+    """The decimal digits of x, past the interpreter's cap on str(int)."""
+    return str(Decimal(x))
+
+
 @dataclass
 class CoverBound:
     """Bounds on the number of subsets stabilized by some Sylow p-subgroup."""
@@ -44,8 +50,8 @@ class CoverBound:
         return {
             "sylow_count": self.sylow_count,
             "orbit_count": self.orbit_count,
-            "exact": str(self.exact),
-            "coarse": str(self.coarse) if self.coarse is not None else None,
+            "exact": _decimal(self.exact),
+            "coarse": _decimal(self.coarse) if self.coarse is not None else None,
         }
 
 
@@ -108,8 +114,8 @@ class CountingCertificate:
             "z": format_cycles(self.z),
             "fixed_points": self.fixed_points,
             "sylow_norm_index": self.sylow_norm_index,
-            "lhs_power": str(self.lhs_power),
-            "rhs_power": str(self.rhs_power),
+            "lhs_power": _decimal(self.lhs_power),
+            "rhs_power": _decimal(self.rhs_power),
             "verdict": self.verdict,
         }
 

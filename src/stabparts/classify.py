@@ -74,9 +74,19 @@ def _stabilizing_rows(G: PermGroup, delta: PointSet) -> np.ndarray:
 
 
 def setwise_stabilizer(G: PermGroup, delta: PointSet) -> PermGroup:
-    """{g in G : delta . g = delta}, built from its rows of G.elements."""
-    rows = G.elements[_stabilizing_rows(G, delta)]
-    return G.subgroup_from_rows(rows, name="setwise stabilizer")
+    """{g in G : delta . g = delta}: G itself, or grown from its rows of
+    G.elements, each row that is not yet a member joining the generators (at
+    most log2|H| of them) until the order is the number of rows."""
+    rows = _stabilizing_rows(G, delta)
+    if rows.size == G.order:
+        return G
+    H = G.subgroup((), name="setwise stabilizer")
+    for i in rows:
+        if H.order == rows.size:
+            break
+        H.grow(Permutation._trusted(G.elements[i]))
+    assert H.order == rows.size, "the stabilizing rows are not a subgroup"
+    return H
 
 
 def stab_p_part(G: PermGroup, delta: PointSet, p: int) -> int:

@@ -480,29 +480,6 @@ class PermGroup:
     def subgroup(self, gens: Iterable[Permutation], name: Optional[str] = None) -> "PermGroup":
         return PermGroup(self.degree, gens, name=name)
 
-    def subgroup_from_rows(self, rows: np.ndarray, name: Optional[str] = None) -> "PermGroup":
-        """The subgroup whose element table is rows, a subset of self.elements
-        that is closed under products and still lexicographically sorted.
-        The rows are stored point-major, like every element table.
-
-        The rows are sifted through the subgroup's chain in order while its
-        order is below len(rows): a row that is not yet a member joins the
-        generators, so each one at least doubles the order and there are at
-        most log2|H| of them.  The table is multiplied out once, to check it.
-        """
-        if rows.shape[0] == self.order:
-            return self
-        rows = np.asfortranarray(rows)
-        rows.setflags(write=False)
-        H = PermGroup(self.degree, (), name=name)
-        for row in rows:
-            if H.order >= rows.shape[0]:
-                break
-            H.grow(Permutation._trusted(row))
-        assert np.array_equal(H._enumerate(), rows), "rows are not a sorted subgroup"
-        H._elements = rows
-        return H
-
     # -- basic structure -------------------------------------------------------
 
     def orbits(self) -> list[list[int]]:

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -95,6 +96,12 @@ class TestCoverBound:
                 bound = sylow_cover_bound(G, p, all_sylows(G, p))
                 if bound.coarse is not None:
                     assert bound.exact <= bound.coarse, (name, p)
+
+    def test_json_past_the_str_digit_cap(self):
+        # 2^16000 has 4817 digits, past str(int)'s default cap of 4300
+        blob = census.CoverBound(1, 16000, 1 << 16000, 3 << 16000).to_json()
+        assert len(blob["exact"]) == 4817 and int(Decimal(blob["exact"])) == 1 << 16000
+        assert int(Decimal(blob["coarse"])) == 3 << 16000
 
 
 class TestProp31Certificate:

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 from click.testing import CliRunner
@@ -228,6 +229,21 @@ class TestProp31:
         payload = _payload(result)
         assert payload["verdict"] is False
         assert "witness" not in payload
+
+    def test_powers_past_the_str_digit_cap(self, runner, spec_file):
+        # C125 as 32 disjoint 125-cycles: z moves all 4000 points, so the
+        # right side is 2^16000, 4817 digits, past str(int)'s 4300-digit cap
+        cycles = "".join("(" + " ".join(str(125 * k + i) for i in range(125)) + ")"
+                         for k in range(32))
+        path = spec_file({"degree": 4000, "generators": [cycles]})
+        result = runner.invoke(main, ["prop31", path, "--p", "5"])
+        assert result.exit_code == 0, result.stderr
+        payload = _payload(result)
+        assert payload["verdict"] is True
+        assert payload["lhs_power"] == "1"
+        rhs = payload["rhs_power"]
+        assert rhs.isdigit() and len(rhs) == 4817 and int(Decimal(rhs)) == 1 << 16000
+        assert 1 < payload["witness_p_part"] < 125
 
     def test_inapplicable_exit_eleven(self, runner, spec_file):
         path = spec_file({"product": [{"named": "J"}, {"named": "J"}]})

@@ -1,4 +1,4 @@
-"""Subgroups built from their element rows, against per-element definitions."""
+"""Subgroups read off their element rows, against per-element definitions."""
 
 import random
 
@@ -73,6 +73,23 @@ def test_jxj_filter_is_the_full_row_scan(jxj, label):
     assert (np.diff(rows) > 0).all()
 
 
+@pytest.mark.parametrize("label", list(JXJ_SUBSETS))
+def test_jxj_setwise_stabilizer_is_grown_from_its_rows(jxj, label, monkeypatch):
+    cells, order = JXJ_SUBSETS[label]
+    S = _cells(cells)
+    sifted = []
+    add = StabilizerChain.add_generator
+    monkeypatch.setattr(StabilizerChain, "add_generator",
+                        lambda chain, g: sifted.append(g) or add(chain, g))
+    H = setwise_stabilizer(jxj, S)
+    assert H.order == order
+    assert (H is jxj) == (order == jxj.order)
+    assert all(S.image(g) == S for g in H.generators)
+    if H is not jxj:  # no row is sifted once the order is reached
+        assert sifted[-1] is H.generators[-1]
+    assert np.array_equal(H.elements, jxj.elements[_stabilizing_rows(jxj, S)])
+
+
 def _seeded_jxj_subset(jxj, kind, seed):
     """A union of orbits of z, the order-3 generator acting on the first
     factor of J x J (every orbit kept with probability 1/2), or a random
@@ -112,7 +129,7 @@ def test_setwise_stabilizer_is_the_row_filter(G, mask):
 @example(PermGroup.trivial(3), 0b101)
 def test_few_generators_regenerate_the_rows(G, mask):
     S = _subset(G, mask)
-    H = G.subgroup_from_rows(_rows(G, lambda g: S.image(g) == S))
+    H = setwise_stabilizer(G, S)
     assert np.array_equal(PermGroup(G.degree, H.generators).elements, H.elements)
     if H is not G:  # all of G's rows give back G with its own generators
         assert 1 << len(H.generators) <= H.order
@@ -137,23 +154,9 @@ def _least_rows_outside(degree, rows):
 def test_generators_are_the_least_rows_outside(G, mask):
     S = _subset(G, mask)
     rows = _rows(G, lambda g: S.image(g) == S)
-    H = G.subgroup_from_rows(rows)
+    H = setwise_stabilizer(G, S)
     if H is not G:
         assert [g.images.tolist() for g in H.generators] == _least_rows_outside(G.degree, rows)
-
-
-def test_rows_that_are_not_closed_are_refused(monkeypatch):
-    G = PermGroup.from_cycles(3, ["(0 1 2)", "(0 1)"])
-    e, a, b = [0, 1, 2], [1, 2, 0], [2, 1, 0]  # ord(a) = 3, b not in <a>
-    with pytest.raises(AssertionError):
-        G.subgroup_from_rows(np.array([e, a], dtype=np.int32))
-    sifted = []
-    add = StabilizerChain.add_generator
-    monkeypatch.setattr(StabilizerChain, "add_generator",
-                        lambda chain, g: sifted.append(g) or add(chain, g))
-    with pytest.raises(AssertionError):
-        G.subgroup_from_rows(np.array([e, a, b], dtype=np.int32))
-    assert [g.images.tolist() for g in sifted] == [e, a]  # |<a>| = 3 rows: b is not read
 
 
 @settings(max_examples=40, deadline=None)

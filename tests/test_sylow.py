@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabparts import (
     PermGroup,
@@ -18,7 +19,7 @@ from stabparts import (
     prop_certificate,
 )
 from stabparts.fields import prime_divisors
-from stabparts.sylow import frattini_subgroup
+from stabparts.sylow import frattini_subgroup, normal_closure
 from strategies import closure, small_groups
 
 
@@ -181,18 +182,15 @@ def test_elementary_abelian_matches_element_definition(G):
             assert is_elementary_abelian(G, p) == expected
 
 
-def test_sylow_path_builds_no_row_subgroup(zoo, monkeypatch):
+def test_sylow_path_builds_no_row_subgroup(zoo, setwise_calls):
     # normalizers and centers are read as row sets, never built as subgroups
-    def refuse(G, rows, name=None):
-        raise AssertionError("subgroup_from_rows called")
-
-    monkeypatch.setattr(PermGroup, "subgroup_from_rows", refuse)
     for name, G in zoo.items():
         for p in prime_divisors(G.order):
             data = all_sylows(G, p)
             assert data.count % p == 1, (name, p)
             if not is_elementary_abelian(data.representative, p):
                 assert frattini_center_element(data.representative, p).order() == p
+    assert setwise_calls == []
 
 
 class TestFrattiniCenterElement:
@@ -280,6 +278,22 @@ def test_frattini_matches_element_definition(G):
         P = find_sylow(G, p)
         _check_frattini(P, p)
         _check_frattini(G.subgroup(P.iter_elements()), p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(max_order=720), st.lists(st.integers(0, 10**6), max_size=3),
+       st.integers(1, 720))
+@example(PermGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"]), [7], 4)  # V4 in Sym(4), at the bound
+@example(PermGroup.from_cycles(4, ["(0 1 2 3)", "(0 1)"]), [5], 23)  # all of Sym(4), past it
+def test_normal_closure_is_the_closure_of_all_conjugates(G, indices, bound):
+    elems = list(G.iter_elements())
+    gens = [elems[i % len(elems)] for i in indices]
+    conjugates = [x.inverse() * h * x for h in gens for x in elems]
+    expected = closure(PermGroup(G.degree, conjugates))
+    assert closure(normal_closure(G, gens)) == expected
+    bounded = normal_closure(G, gens, bound=bound)
+    assert (bounded is None) == (len(expected) > bound)
+    assert bounded is None or closure(bounded) == expected
 
 
 # AGL(4,2), |G| = 322560: GL(4,2) from a transvection and a 4-cycle of coordinates

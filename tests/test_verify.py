@@ -2,29 +2,15 @@
 
 import numpy as np
 
-from stabparts import PermGroup, Permutation, classify, named_group, verify
+from stabparts import Permutation, named_group, verify
 from stabparts.perms import _least_element_of_order
 
 
-def test_run_all_builds_no_stabilizer_subgroup(monkeypatch):
-    # |Stab(Delta)| is the number of rows that fix Delta: no subgroup is sifted
-    calls = []
-    subgroup_from_rows = PermGroup.subgroup_from_rows
-    setwise_stabilizer = classify.setwise_stabilizer
-
-    def rows_spy(self, *args, **kwargs):
-        calls.append("subgroup_from_rows")
-        return subgroup_from_rows(self, *args, **kwargs)
-
-    def setwise_spy(*args, **kwargs):
-        calls.append("setwise_stabilizer")
-        return setwise_stabilizer(*args, **kwargs)
-
-    monkeypatch.setattr(PermGroup, "subgroup_from_rows", rows_spy)
-    monkeypatch.setattr(classify, "setwise_stabilizer", setwise_spy)
+def test_run_all_builds_no_stabilizer_subgroup(setwise_calls):
+    # |Stab(Delta)| is the number of rows that fix Delta: no subgroup is grown
     checks = verify.run_all(seed=0, trials=200)
     assert [c.name for c in checks if not c.passed] == []
-    assert calls == []
+    assert setwise_calls == []
 
 
 def test_order3_element_is_product_action_encoding():
