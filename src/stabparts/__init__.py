@@ -9,9 +9,8 @@ desk scale (enumerable groups, degree <= a few thousand).
 __version__ = "0.1.0"
 
 from .affine import (
-    AffineSpec,
     SemilinearGen,
-    build_affine,
+    affine_group,
     group_from_document,
     named_group,
     product_action,

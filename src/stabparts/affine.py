@@ -1,19 +1,17 @@
 """Affine and semilinear permutation groups on the vectors of V = GF(q)^m.
 
 Points are the base-q positional encodings of coordinate vectors, last
-coordinate least significant; point 0 is the zero vector.  AffineSpec.coords,
-the coordinate rows of all points, is the one place that holds this
-encoding: generators are computed on that array with the field's lookup
-tables, and _points maps coordinate rows back.  A semilinear
-generator (A, e, b) acts on the right as v -> (v^sigma) A + b with
-sigma: x -> x^(p^e) applied entrywise.
+coordinate least significant; point 0 is the zero vector.  semilinear_map
+is the one place that holds this encoding: it computes a map on the
+coordinate rows of all points at once, with the field's lookup tables, and
+encodes the image rows back.  A semilinear map (A, e, b) acts on the right
+as v -> (v^sigma) A + b with sigma: x -> x^(p^e) applied entrywise.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,66 +29,35 @@ class SemilinearGen:
     translation: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class AffineSpec:
-    field: FiniteField
-    dim: int
-    generators: tuple[SemilinearGen, ...] = ()
-    name: Optional[str] = None
-
-    @property
-    def num_points(self) -> int:
-        return self.field.q**self.dim
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """The (q^dim, dim) field indices of every point's coordinates."""
-        coords = np.indices((self.field.q,) * self.dim, dtype=np.int32)
-        coords = coords.reshape(self.dim, -1).T
-        coords.setflags(write=False)
-        return coords
-
-    def _points(self, coords: np.ndarray) -> np.ndarray:
-        """The points with these coordinates (last axis); inverse of coords."""
-        return np.ravel_multi_index(tuple(np.moveaxis(coords, -1, 0)),
-                                    (self.field.q,) * self.dim)
-
-    def point_add(self, a: int, b: int) -> int:
-        return int(self._points(self.field.add_table[self.coords[a], self.coords[b]]))
-
-    def gen_permutation(self, gen: SemilinearGen) -> Permutation:
-        """The generator's action on all points at once, through field tables."""
-        F = self.field
-        v = self.coords
-        for _ in range(gen.frob % F.k):  # sigma has order k
-            v = F.frobenius_table[v]
-        out = np.zeros_like(v)
-        for i, row in enumerate(gen.matrix):  # out += v_i * (row i of A)
-            out = F.add_table[out, F.mul_table[v[:, i, np.newaxis], row]]
-        if gen.translation:
-            out = F.add_table[out, gen.translation]
-        try:
-            return Permutation(self._points(out))
-        except ValueError:  # a bijection of V iff the matrix is invertible
-            raise ValueError("semilinear generator has a singular matrix") from None
+def semilinear_map(F: FiniteField, dim: int, gen: SemilinearGen) -> Permutation:
+    """The map's action on all q^dim points at once, through field tables."""
+    shape = (F.q,) * dim
+    v = np.indices(shape, dtype=np.int32).reshape(dim, -1).T  # row x: x's coordinates
+    for _ in range(gen.frob % F.k):  # sigma has order k
+        v = F.frobenius_table[v]
+    out = np.zeros_like(v)
+    for i, row in enumerate(gen.matrix):  # out += v_i * (row i of A)
+        out = F.add_table[out, F.mul_table[v[:, i, np.newaxis], row]]
+    if gen.translation:
+        out = F.add_table[out, gen.translation]
+    try:
+        return Permutation(np.ravel_multi_index(tuple(out.T), shape))
+    except ValueError:  # a bijection of V iff the matrix is invertible
+        raise ValueError("semilinear generator has a singular matrix") from None
 
 
-def build_affine(spec: AffineSpec) -> PermGroup:
-    """The permutation group V . <spec generators> on the points of V.
+def affine_group(F: FiniteField, dim: int, gens: tuple[SemilinearGen, ...] = (),
+                 name: Optional[str] = None) -> PermGroup:
+    """The permutation group V . <gens> on the points of V = F^dim.
 
-    Translation generators by x^j e_i (a GF(p)-basis of V) are always
-    included, so the translation subgroup is all of V.
+    Its generators are the translations by x^j e_i, a GF(p)-basis of V (i
+    outer, j inner), so that every translation is in the group; then gens.
     """
-    F = spec.field
-    semilinear = [spec.gen_permutation(g) for g in spec.generators]
-    identity = tuple(tuple(int(i == j) for j in range(spec.dim)) for i in range(spec.dim))
-    gens = []
-    for i in range(spec.dim):
-        for j in range(F.k):
-            vec = [0] * spec.dim
-            vec[i] = F.p**j  # x^j in slot i, index p^j; a GF(p)-basis vector
-            gens.append(spec.gen_permutation(SemilinearGen(identity, 0, tuple(vec))))
-    return PermGroup(spec.num_points, gens + semilinear, name=spec.name)
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    basis = [SemilinearGen(identity, 0, tuple(F.p**j if c == i else 0 for c in range(dim)))
+             for i in range(dim) for j in range(F.k)]  # x^j has index p^j
+    return PermGroup(F.q**dim, [semilinear_map(F, dim, g) for g in basis + list(gens)],
+                     name=name)
 
 
 def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
@@ -111,17 +78,6 @@ def product_action(G1: PermGroup, G2: PermGroup) -> PermGroup:
 # ---------------------------------------------------------------------------
 
 
-def _catalog_affine(p: int, k: int, dim: int, name: str,
-                    matrices: list[tuple[tuple[int, ...], ...]],
-                    frobenius: bool = False) -> PermGroup:
-    """V . <matrices> on V = GF(p^k)^dim; with frobenius (dim 1 only), the
-    map x -> x^p joins the matrices as the last generator."""
-    gens = [SemilinearGen(matrix) for matrix in matrices]
-    if frobenius:
-        gens.append(SemilinearGen(((1,),), 1))
-    return build_affine(AffineSpec(build_field(p, k), dim, tuple(gens), name=name))
-
-
 def _sym(n: int) -> PermGroup:
     gens = [parse_cycles("(" + " ".join(map(str, range(n))) + ")", n)]
     if n > 2:
@@ -135,31 +91,31 @@ def _cyclic(n: int) -> PermGroup:
 
 
 def named_group(name: str) -> PermGroup:
-    """Catalog of named groups; see README for the full list."""
+    """Catalog of named groups; see README for the full list.  Spaces are ignored."""
     name = name.strip()
-    if name.startswith("Product(") and name.endswith(")"):
-        inner = name[len("Product("):-1]
-        left, right = _split_top_level(inner)
-        return product_action(named_group(left), named_group(right))
     key = name.replace(" ", "")
+    if key.startswith("Product(") and key.endswith(")"):
+        # split name, not key, so that errors quote each factor as written
+        left, right = _split_top_level(name[name.index("(") + 1:-1])
+        return product_action(named_group(left), named_group(right))
     if key in ("D6", "Dihedral(6)"):  # D_{2q}: x -> +-x + b on GF(q), -1 = q - 1
-        return _catalog_affine(3, 1, 1, "D6", [((2,),)])
+        return affine_group(build_field(3, 1), 1, (SemilinearGen(((2,),)),), "D6")
     if key in ("D10", "Dihedral(10)"):
-        return _catalog_affine(5, 1, 1, "D10", [((4,),)])
-    if key in ("J", "AGammaL(1,8)", "AGammaL(1,9)"):
-        p, k = (3, 2) if key == "AGammaL(1,9)" else (2, 3)
-        g = build_field(p, k).primitive_element()
-        return _catalog_affine(p, k, 1, f"AGammaL(1,{p**k})", [((g,),)], frobenius=True)
+        return affine_group(build_field(5, 1), 1, (SemilinearGen(((4,),)),), "D10")
+    if key in ("J", "AGammaL(1,8)", "AGammaL(1,9)"):  # x -> g x, then x -> x^p
+        F = build_field(3, 2) if key == "AGammaL(1,9)" else build_field(2, 3)
+        gens = (SemilinearGen(((F.primitive_element(),),)), SemilinearGen(((1,),), 1))
+        return affine_group(F, 1, gens, f"AGammaL(1,{F.q})")
     if key.startswith("AGL(1,") and key.endswith(")"):
         power = prime_power(_named_degree(key[len("AGL(1,"):-1], name))
         if power is None:
             raise ValueError("not a prime power")
-        p, k = power
-        g = build_field(p, k).primitive_element()
-        return _catalog_affine(p, k, 1, f"AGL(1,{p**k})", [((g,),)])
+        F = build_field(*power)
+        return affine_group(F, 1, (SemilinearGen(((F.primitive_element(),),)),),
+                            f"AGL(1,{F.q})")
     if key == "AGL(2,3)":  # GL(2,3) = <transvections, diag(2,1)>, order 48
-        return _catalog_affine(3, 1, 2, "AGL(2,3)",
-                               [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 1))])
+        gens = (((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 1)))
+        return affine_group(build_field(3, 1), 2, tuple(map(SemilinearGen, gens)), "AGL(2,3)")
     if key in ("Sym(4)", "S4"):
         return _sym(4)
     if key.startswith("C") and key[1:].isdigit():
@@ -290,5 +246,4 @@ def _group_at(doc, path: str) -> PermGroup:
         translation = _get(entry, "translation", at, lambda v: v == [] or vector(v),
                            f"a vector of {dim} elements of GF({F.q})", [])
         gens.append(SemilinearGen(tuple(map(tuple, matrix)), frob, tuple(translation)))
-    spec = AffineSpec(F, dim, tuple(gens), name=name)
-    return _at(path, build_affine, spec)
+    return _at(path, affine_group, F, dim, tuple(gens), name)

@@ -3,10 +3,10 @@ the catalog's groups, shared by the tests."""
 
 import random
 
+import numpy as np
 from hypothesis import strategies as st
 
-from stabparts import (AffineSpec, PermGroup, Permutation, build_field, format_cycles,
-                       product_action)
+from stabparts import PermGroup, Permutation, build_field, format_cycles, product_action
 from stabparts.fields import _MODULI, is_prime
 
 # (p, k, dim) of V = GF(p^k)^dim for every affine group of the catalog, in
@@ -31,10 +31,14 @@ AFFINE_CATALOG = {
 }
 
 
-def catalog_spec(name: str) -> AffineSpec:
-    """The AffineSpec of V for a name of AFFINE_CATALOG."""
-    p, k, dim = AFFINE_CATALOG[name]
-    return AffineSpec(build_field(p, k), dim)
+def vector_add(p, k, dim, a, b):
+    """a + b for points (ints or arrays, broadcast) of V = GF(p^k)^dim: the
+    field's addition table on their base-q coordinates, last coordinate least
+    significant, decoded and encoded by numpy apart from the library's code."""
+    shape = (p**k,) * dim
+    a, b = np.broadcast_arrays(a, b)
+    coords = build_field(p, k).add_table[np.unravel_index(a, shape), np.unravel_index(b, shape)]
+    return np.ravel_multi_index(tuple(coords), shape).tolist()
 
 
 @st.composite

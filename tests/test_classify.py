@@ -26,7 +26,7 @@ from stabparts import (
     stab_p_part,
     translation_witness,
 )
-from stabparts.affine import AffineSpec, SemilinearGen, build_affine, group_from_document
+from stabparts.affine import SemilinearGen, affine_group, group_from_document
 from stabparts import classify
 from stabparts.classify import (
     ConstructorInapplicable,
@@ -39,8 +39,8 @@ from stabparts.kernels import MAX_SCAN_BITS, stabilizer_counts
 from stabparts.perms import ResourceLimit
 from stabparts.fields import prime_divisors
 from stabparts.sylow import find_sylow
-from strategies import (AFFINE_CATALOG, catalog_spec, closure, relabelled_document,
-                        small_groups, symmetric, wreath)
+from strategies import (AFFINE_CATALOG, closure, relabelled_document, small_groups, symmetric,
+                        vector_add, wreath)
 
 RECIPES = ("translation", "regular-vector", "regular-triple", "metacyclic", "orbit-union")
 
@@ -92,17 +92,12 @@ def metacyclic_group():
     # V = GF(11)^2 acted on by D20 = <diag(3, 3^-1), coordinate swap, -I>;
     # satisfies the p = 2 reduction conditions, so the eigenvector recipe
     # is guaranteed to produce a stabilizer of 2-part exactly 2.
-    F = build_field(11, 1)
-    spec = AffineSpec(
-        F, 2,
-        (
-            SemilinearGen(((3, 0), (0, 4)), 0, ()),
-            SemilinearGen(((0, 1), (1, 0)), 0, ()),
-            SemilinearGen(((10, 0), (0, 10)), 0, ()),
-        ),
-        name="V(11^2).D20",
+    gens = (
+        SemilinearGen(((3, 0), (0, 4)), 0, ()),
+        SemilinearGen(((0, 1), (1, 0)), 0, ()),
+        SemilinearGen(((10, 0), (0, 10)), 0, ()),
     )
-    return build_affine(spec)
+    return affine_group(build_field(11, 1), 2, gens, name="V(11^2).D20")
 
 
 class TestSetwiseStabilizer:
@@ -381,7 +376,7 @@ def test_h_is_g_rows_fixing_zero(G):
 class TestTranslations:
     @pytest.mark.parametrize("name", AFFINE_CATALOG)
     def test_catalog_rows_are_the_spec_translations(self, name):
-        self._check_spec(named_group(name), catalog_spec(name))
+        self._check_translations(named_group(name), *AFFINE_CATALOG[name])
 
     @pytest.mark.parametrize("p, k, dim, matrices", [
         (2, 2, 1, ()),  # GF(4) alone
@@ -389,15 +384,14 @@ class TestTranslations:
         (11, 1, 2, (((3, 0), (0, 4)), ((0, 1), (1, 0)), ((10, 0), (0, 10)))),  # V(11^2).D20
     ])
     def test_built_affine_rows_are_the_spec_translations(self, p, k, dim, matrices):
-        spec = AffineSpec(build_field(p, k), dim, tuple(map(SemilinearGen, matrices)))
-        self._check_spec(build_affine(spec), spec)
+        G = affine_group(build_field(p, k), dim, tuple(map(SemilinearGen, matrices)))
+        self._check_translations(G, p, k, dim)
 
     @staticmethod
-    def _check_spec(G, spec):
+    def _check_translations(G, p, k, dim):
         # row v is t_v, the translation x -> x + v
-        n = G.degree
-        assert translations(G).tolist() == [[spec.point_add(x, v) for x in range(n)]
-                                            for v in range(n)]
+        points = np.arange(G.degree)
+        assert translations(G).tolist() == vector_add(p, k, dim, points, points[:, None])
 
     @pytest.mark.parametrize("G", [
         named_group("Product(D6,D10)"), named_group("Product(AGL(1,5),D6)"),
@@ -430,7 +424,7 @@ class TestTranslations:
 @example(named_group("J"))
 @example(named_group("C8"))
 @example(PermGroup.from_cycles(8, ["(0 2)(1 7)(3 6)(4 5)", "(0 1)(2 5)(3 7)(4 6)"]))
-@example(build_affine(AffineSpec(build_field(2, 2), 1)))
+@example(affine_group(build_field(2, 2), 1))
 def test_translations_are_regular_normal_elementary_abelian(G):
     """translations never raises, and returns None or the rows of a regular,
     normal, elementary abelian subgroup of G, row v taking 0 to v."""
@@ -460,18 +454,15 @@ def test_translations_are_regular_normal_elementary_abelian(G):
 
 class TestTranslationWitness:
     def test_gf9_with_negation(self):
-        F = build_field(3, 1)
-        spec = AffineSpec(F, 2, (SemilinearGen(((2, 0), (0, 2)), 0, ()),))
-        G = build_affine(spec)  # order 18
+        negation = SemilinearGen(((2, 0), (0, 2)), 0, ())
+        G = affine_group(build_field(3, 1), 2, (negation,))  # order 18
         delta = translation_witness(G, 3, translations(G))
         assert delta.sorted_points() == [0, 1, 2]
         part = stab_p_part(G, delta, 3)
         assert 3 <= part < p_part(G.order, 3)
 
     def test_gf4_least_subgroup(self):
-        F = build_field(2, 2)
-        spec = AffineSpec(F, 1, ())
-        G = build_affine(spec)
+        G = affine_group(build_field(2, 2), 1)
         assert translation_witness(G, 2, translations(G)).sorted_points() == [0, 1]
 
     def test_v_equal_p_rejected(self):
@@ -490,13 +481,13 @@ class TestTranslationWitness:
         for name, G in zoo.items():
             if name not in AFFINE_CATALOG:
                 continue
-            spec = catalog_spec(name)
-            p = spec.field.p
+            p = AFFINE_CATALOG[name][0]
             if G.degree == p:
                 continue
             delta = translation_witness(G, p, translations(G)).members
             assert len(delta) == p, name
-            assert {spec.point_add(a, b) for a in delta for b in delta} == delta, name
+            sums = {vector_add(*AFFINE_CATALOG[name], a, b) for a in delta for b in delta}
+            assert sums == delta, name
 
     def test_wrong_characteristic_rejected(self):
         G = named_group("AGL(2,3)")
@@ -660,11 +651,11 @@ def _least_of_order_by_loop(H, p):
     return next((g for g in H.iter_elements() if g.order() == p), None)
 
 
-def _metacyclic_by_loop(G, H, spec):
+def _metacyclic_by_loop(G, H, space):
     """The least noncentral involution u with a fixed and a negated nonzero
-    point, walked one element and one point at a time."""
+    point of the space (p, k, dim), walked one element and one point at a time."""
     def neg(x):
-        return next(y for y in range(G.degree) if spec.point_add(x, y) == 0)
+        return next(y for y in range(G.degree) if vector_add(*space, x, y) == 0)
 
     for u in H.iter_elements():
         if u.order() != 2 or all(u * h == h * u for h in H.generators):
@@ -700,26 +691,25 @@ class TestTablesMatchElementLoops:
 
     @pytest.mark.parametrize("name", AFFINE)
     def test_metacyclic_choice(self, name):
-        self._check_metacyclic(named_group(name), catalog_spec(name))
+        self._check_metacyclic(named_group(name), AFFINE_CATALOG[name])
 
     def test_metacyclic_choice_on_d20(self, metacyclic_group):
-        self._check_metacyclic(metacyclic_group, AffineSpec(build_field(11, 1), 2))
+        self._check_metacyclic(metacyclic_group, (11, 1, 2))
 
     @staticmethod
-    def _check_metacyclic(G, spec):
+    def _check_metacyclic(G, space):
         H = point_stabilizer_of_zero(G)
         try:
             table = metacyclic_witness(G, 2, H.elements, translations(G)).sorted_points()
         except ConstructorInapplicable:
             table = None
-        assert table == _metacyclic_by_loop(G, H, spec)
+        assert table == _metacyclic_by_loop(G, H, space)
 
     @pytest.mark.parametrize("name", AFFINE)
     def test_negation(self, name):
         # -v is the point that t_v takes to 0
-        spec = catalog_spec(name)
         neg = translations(named_group(name)).argmin(axis=1)
-        assert all(spec.point_add(x, int(y)) == 0 for x, y in enumerate(neg))
+        assert vector_add(*AFFINE_CATALOG[name], np.arange(neg.size), neg) == [0] * neg.size
 
 
 class TestConjugationCovariance:

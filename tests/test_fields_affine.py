@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from stabparts import build_field, named_group, parse_cycles, Permutation, PermGroup
 from stabparts.affine import (
-    AffineSpec,
     SemilinearGen,
-    build_affine,
+    affine_group,
     group_from_document,
     product_action,
+    semilinear_map,
 )
 from stabparts.classify import translations
 from stabparts.fields import _MODULI, is_prime, prime_divisors, prime_power
+from strategies import vector_add
 
 
 ALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
@@ -146,29 +147,40 @@ def test_build_field_errors():
         build_field(3, 4)  # q > 64
 
 
+def _translation(vector):
+    """The map v -> v + vector, as a semilinear map with the identity matrix."""
+    dim = len(vector)
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    return SemilinearGen(identity, 0, tuple(vector))
+
+
 class TestVectorIndexing:
+    """The point encoding, read off where translations take the zero vector."""
+
     def test_base_q_last_significant(self):
         F = build_field(3, 1)
-        spec = AffineSpec(F, 2)
-        assert tuple(spec.coords[4]) == (1, 1)
+        images = [semilinear_map(F, 2, _translation(v))(0) for v in [(1, 1), (1, 0), (0, 1)]]
+        assert images == [4, 3, 1]
 
     def test_dim_one_identity(self):
         F = build_field(2, 3)
-        spec = AffineSpec(F, 1)
-        assert spec.coords[:, 0].tolist() == list(range(8))
+        assert [semilinear_map(F, 1, _translation((a,)))(0) for a in range(8)] == list(range(8))
 
     def test_roundtrip_gf8_squared(self):
+        # the translation by (a, b) takes 0 to 8a + b and x to x + (8a + b);
+        # by (0, 0) it is the identity, each coordinate row encoded back
         F = build_field(2, 3)
-        spec = AffineSpec(F, 2)
-        assert spec.coords.shape == (64, 2)
-        for pt in range(64):
-            assert tuple(spec.coords[pt]) == divmod(pt, 8)
-            assert spec.point_add(pt, 0) == pt  # coordinates back to the point
+        for a, b in itertools.product(range(8), repeat=2):
+            t = semilinear_map(F, 2, _translation((a, b)))
+            assert t(0) == 8 * a + b
+            assert t.images.tolist() == vector_add(2, 3, 2, np.arange(64), 8 * a + b)
 
     def test_zero_vector(self):
+        # point 0 is fixed by a linear map, and by the translation by (0, 0, 0)
         F = build_field(5, 1)
-        spec = AffineSpec(F, 3)
-        assert tuple(spec.coords[0]) == (0, 0, 0)
+        linear = SemilinearGen(((2, 1, 0), (0, 3, 0), (1, 0, 4)))  # det 24 = 4
+        assert semilinear_map(F, 3, linear)(0) == 0
+        assert semilinear_map(F, 3, _translation((0, 0, 0))).images.tolist() == list(range(125))
 
     def test_out_of_range(self):
         doc = {"affine": {"p": 3, "k": 1, "dim": 2,
@@ -179,15 +191,11 @@ class TestVectorIndexing:
 
 class TestBuildAffine:
     def test_d6_on_gf3(self):
-        F = build_field(3, 1)
-        spec = AffineSpec(F, 1, (SemilinearGen(((2,),), 0, ()),))  # -1 = q - 1
-        G = build_affine(spec)
+        G = affine_group(build_field(3, 1), 1, (SemilinearGen(((2,),), 0, ()),))  # -1 = q - 1
         assert (G.degree, G.order) == (3, 6)
 
     def test_d10_on_gf5(self):
-        F = build_field(5, 1)
-        spec = AffineSpec(F, 1, (SemilinearGen(((4,),), 0, ()),))  # -1 = q - 1
-        G = build_affine(spec)
+        G = affine_group(build_field(5, 1), 1, (SemilinearGen(((4,),), 0, ()),))  # -1 = q - 1
         assert (G.degree, G.order) == (5, 10)
 
     def test_j_on_gf8(self):
@@ -196,10 +204,9 @@ class TestBuildAffine:
         assert G.order == 8 * 7 * 3
 
     def test_singular_matrix_rejected(self):
-        F = build_field(3, 1)
-        spec = AffineSpec(F, 2, (SemilinearGen(((1, 0), (1, 0)), 0, ()),))
-        with pytest.raises(ValueError):
-            build_affine(spec)
+        singular = SemilinearGen(((1, 0), (1, 0)), 0, ())
+        with pytest.raises(ValueError, match="^semilinear generator has a singular matrix$"):
+            affine_group(build_field(3, 1), 2, (singular,))
 
     def test_translations_act_regularly(self, zoo):
         # exactly one translation maps 0 to each point, and each is in G
@@ -262,14 +269,61 @@ def semilinear_gens(draw, F):
 def test_gen_permutation_matches_per_point_definition(p, k, data):
     F = build_field(p, k)
     dim, gen = data.draw(semilinear_gens(F))
-    spec = AffineSpec(F, dim)
     try:
         expected = _semilinear_images(F, dim, gen)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{exc}$"):
-            spec.gen_permutation(gen)
+            semilinear_map(F, dim, gen)
     else:
-        assert spec.gen_permutation(gen).images.tolist() == expected
+        assert semilinear_map(F, dim, gen).images.tolist() == expected
+
+
+def _times_primitive(p, k):
+    """x -> g x for g the least generator of GF(p^k)*."""
+    return SemilinearGen(((build_field(p, k).primitive_element(),),))
+
+
+# (p, k, dim, maps) of every name the catalog builds as V . <maps>
+_J = (2, 3, 1, (_times_primitive(2, 3), SemilinearGen(((1,),), 1)))
+AFFINE_CATALOG_MAPS = {
+    "D6": (3, 1, 1, (SemilinearGen(((2,),)),)),
+    "Dihedral(6)": (3, 1, 1, (SemilinearGen(((2,),)),)),
+    "D10": (5, 1, 1, (SemilinearGen(((4,),)),)),
+    "Dihedral(10)": (5, 1, 1, (SemilinearGen(((4,),)),)),
+    "J": _J,
+    "AGammaL(1,8)": _J,
+    "AGammaL(1,9)": (3, 2, 1, (_times_primitive(3, 2), SemilinearGen(((1,),), 1))),
+    "AGL(2,3)": (3, 1, 2, tuple(map(SemilinearGen, [((1, 1), (0, 1)), ((1, 0), (1, 1)),
+                                                     ((2, 0), (0, 1))]))),
+    **{f"AGL(1,{p**k})": (p, k, 1, (_times_primitive(p, k),)) for p, k in SUPPORTED_FIELDS},
+}
+# each document and its (p, k, dim, maps): the named catalog groups, the
+# README's affine example, and one with dim > 1 and k > 1, so i and j differ
+AFFINE_BUILDS = {
+    **{name: ({"named": name}, maps) for name, maps in AFFINE_CATALOG_MAPS.items()},
+    "README": ({"affine": {"p": 2, "k": 3, "dim": 1, "generators": [
+        {"matrix": [[3]]}, {"matrix": [[1]], "frobenius": 1},
+        {"matrix": [[1]], "translation": [5]}]}},
+        (2, 3, 1, (SemilinearGen(((3,),)), SemilinearGen(((1,),), 1),
+                   SemilinearGen(((1,),), 0, (5,))))),
+    "GF(4)^2": ({"affine": {"p": 2, "k": 2, "dim": 2, "generators": [
+        {"matrix": [[0, 1], [1, 0]], "frobenius": 1, "translation": [3, 2]}]}},
+        (2, 2, 2, (SemilinearGen(((0, 1), (1, 0)), 1, (3, 2)),))),
+}
+
+
+@pytest.mark.parametrize("name", AFFINE_BUILDS)
+def test_affine_generators_are_basis_translations_then_maps(name):
+    # x^j e_i, i outer and j inner, with x^j the field element of index p^j;
+    # the group drops an identity, AGL(1,2)'s map x -> 1x
+    doc, (p, k, dim, maps) = AFFINE_BUILDS[name]
+    F = build_field(p, k)
+    basis = [_translation([p**j if c == i else 0 for c in range(dim)])
+             for i in range(dim) for j in range(k)]
+    expected = [_semilinear_images(F, dim, gen) for gen in basis + list(maps)]
+    G = group_from_document(doc)
+    assert [g.images.tolist() for g in G.generators] == [
+        images for images in expected if images != list(range(G.degree))]
 
 
 def test_frobenius_exponent_taken_mod_k():
@@ -281,10 +335,9 @@ def test_frobenius_exponent_taken_mod_k():
     assert images == [g.images.tolist() for g in group_from_document(doc(10**9 % 3)).generators]
 
 
-def _is_translation(spec, row):
+def _is_translation(p, dim, row):
     # a translation is addition by the image of 0
-    b = int(row[0])
-    return all(int(row[x]) == spec.point_add(x, b) for x in range(len(row)))
+    return row.tolist() == vector_add(p, 1, dim, np.arange(len(row)), int(row[0]))
 
 
 class TestNamedCatalog:
@@ -323,6 +376,12 @@ class TestNamedCatalog:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             named_group("E8")
+
+    def test_spaces_in_a_product_name_are_ignored(self):
+        A, B = named_group("Product (J, J)"), named_group("Product(J,J)")
+        assert (A.name, A.degree) == (B.name, B.degree)
+        assert [g.images.tolist() for g in A.generators] == [
+            g.images.tolist() for g in B.generators]
 
     def test_agl1_of_non_prime_power(self):
         with pytest.raises(ValueError, match="^not a prime power$"):
@@ -405,9 +464,8 @@ def test_product_over_one_characteristic_is_affine(name, p, dim):
     # GF(p^k)^d is GF(p)^(kd), with the same base-p numbering of the points
     G = named_group(name)
     T = translations(G)
-    spec = AffineSpec(build_field(p, 1), dim)
-    assert T.shape == (spec.num_points, G.degree)
-    assert all(_is_translation(spec, row) for row in T)
+    assert T.shape == (p**dim, G.degree)
+    assert all(_is_translation(p, dim, row) for row in T)
 
 
 def test_mixed_characteristic_product_is_not_affine():
