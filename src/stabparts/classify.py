@@ -15,23 +15,21 @@ p-subgroup iff p does not divide |S^G|.  That census is the oracle, read only
 by exhaustive_p_parts, one p-part per distinct orbit size: the histogram sums
 mask counts by p-part, and concealment's least counterexample and the
 exhaustive witness are the least mask whose size has a marked p-part.  The
-constructive strategy first verifies one stream of candidates, the witness
-recipes' and then seeded random subsets, and ends in the census like the
-exhaustive one, so the two can never disagree.  The recipes, the proof's
-cases for affine G = V . H, read V off the table that translations finds in
-G however G is written, and the later ones the linear part H = Stab_G(0) as
-the rows of G's table that fix 0, picked by the verifier's own row filter.
-Witness constructors are candidate generators only: the verifier
-(stab_p_part, which filters the element rows point by point over Delta or
-its complement) alone accepts them.
+constructive strategy first verifies the recipes' candidates, then seeded
+unions of the orbits of an element z of order p, which fixes each of them,
+and ends in the census like the exhaustive one, so the two never disagree.
+The recipes, the proof's cases for affine G = V . H, read V off the table
+that translations finds in G however G is written, and the later ones the
+linear part H = Stab_G(0) as the rows of G's table that fix 0, picked by the
+verifier's own row filter.  Witness constructors are candidate generators
+only: the verifier (stab_p_part, which filters the element rows point by
+point over Delta or its complement) alone accepts them.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -40,7 +38,7 @@ from . import kernels
 from .fields import prime_power
 from .perms import (PermGroup, Permutation, PointSet, ResourceLimit, _least_element_of_order,
                     _order_p_rows, centralizing_rows, orbits, point_stabilizer_of_zero)
-from .sylow import is_elementary_abelian, is_p_group, normal_closure, p_part
+from .sylow import _least_p_element, is_elementary_abelian, is_p_group, normal_closure, p_part
 
 SAMPLING_TRIALS = 200
 
@@ -386,22 +384,16 @@ def _recipe(stage: str, make) -> list[tuple[str, PointSet]]:
         return []
 
 
-def _sampled(n: int, seed: int) -> Iterator[tuple[str, PointSet]]:
-    """SAMPLING_TRIALS random proper nonempty subsets, drawn from the seed."""
-    rng = random.Random(seed)
-    for _ in range(SAMPLING_TRIALS):
-        size = rng.randint(1, n - 1)
-        yield "sampling", PointSet(n, rng.sample(range(n), size))
-
-
 def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
                         seed: int = 0) -> ModerationReport:
     """Decide MODERATE vs EXTREME; the exhaustive strategy is the oracle.
 
-    The constructive strategy verifies the recipes' candidates, then
-    sampled subsets; both strategies end in the census, so the verdict is
-    exact.
+    The constructive strategy verifies the recipes' candidates, then seeded
+    unions of the orbits of z = x^(|x|/p), x the Sylow search's first
+    p-element (stage q-orbits); both strategies end in the census, so the
+    verdict is exact.
     """
+    from .census import randomized_witness_from_z  # census imports classify
     if strategy not in ("exhaustive", "constructive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     order = G.order
@@ -411,16 +403,19 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
     n = G.degree
     report = ModerationReport(p, n, order, gp, "EXTREME", strategy=strategy)
 
-    candidates = ()
     if gp == p:
         # no p-power lies strictly between 1 and p: EXTREME by arithmetic
         report.note = "|G|_p = p: moderation is impossible"
     elif strategy == "constructive":
-        candidates = chain(constructive_candidates(G, p), _sampled(n, seed))
-    for stage, delta in candidates:
-        part = _verify_witness(G, delta, p, gp)
-        if part is not None:
-            return _moderate(report, stage, delta, part)
+        for stage, delta in constructive_candidates(G, p):
+            part = _verify_witness(G, delta, p, gp)
+            if part is not None:
+                return _moderate(report, stage, delta, part)
+        x = _least_p_element(G, p)
+        z = x ** (x.order() // p)
+        delta = randomized_witness_from_z(G, p, z, SAMPLING_TRIALS, seed)
+        if delta is not None:
+            return _moderate(report, "q-orbits", delta, stab_p_part(G, delta, p))
 
     report.exhaustive = True
     try:

@@ -38,7 +38,8 @@ from stabparts.classify import (
 from stabparts.kernels import MAX_SCAN_BITS, stabilizer_counts
 from stabparts.perms import ResourceLimit
 from stabparts.fields import prime_divisors
-from stabparts.sylow import find_sylow
+from stabparts.census import randomized_witness_from_z
+from stabparts.sylow import _least_p_element, find_sylow
 from strategies import (AFFINE_CATALOG, closure, relabelled_document, small_groups, symmetric,
                         vector_add, wreath)
 
@@ -46,10 +47,11 @@ RECIPES = ("translation", "regular-vector", "regular-triple", "metacyclic", "orb
 
 # The stage that decides classify_moderation (constructive, seed 0) for every
 # case (G, p) of these catalog groups with p^2 | |G|.  The groups that reach
-# sampling have no regular normal elementary abelian subgroup, so they are
+# q-orbits have no regular normal elementary abelian subgroup, so they are
 # not V . H: cyclic groups of prime-power degree, and products over two
-# different fields.  Sym(4), written as cycles, is AGL(2,2): its translation
-# W = {0, 1} has Stab(W) = <(0 1), (2 3)>, 2-part 4 of 8.
+# different fields.  The q-orbit draws depend on the labels, as z does.
+# Sym(4), written as cycles, is AGL(2,2): its translation W = {0, 1} has
+# Stab(W) = <(0 1), (2 3)>, 2-part 4 of 8.
 PINNED_STAGES = {
     ("AGL(1,4)", 2): "translation",
     ("AGL(1,5)", 2): "regular-vector",
@@ -79,11 +81,11 @@ PINNED_STAGES = {
     ("Product(AGammaL(1,9),D6)", 2): "metacyclic",
     ("Product(AGammaL(1,9),D6)", 3): "translation",
     ("Sym(4)", 2): "translation",
-    ("C4", 2): "sampling",
-    ("C8", 2): "sampling",
-    ("C9", 3): "sampling",
-    ("Product(D6,D10)", 2): "sampling",
-    ("Product(AGL(1,5),D6)", 2): "sampling",
+    ("C4", 2): "q-orbits",
+    ("C8", 2): "q-orbits",
+    ("C9", 3): "q-orbits",
+    ("Product(D6,D10)", 2): "q-orbits",
+    ("Product(AGL(1,5),D6)", 2): "q-orbits",
 }
 
 
@@ -605,7 +607,7 @@ class TestCandidateStream:
 
     @pytest.mark.parametrize("name, p", list(PINNED_STAGES))
     def test_relabelling_keeps_verdict_and_stage(self, name, p):
-        # sampling draws depend on the labels, so only recipe stages must stay
+        # q-orbit draws depend on the labels, so only recipe stages must stay
         G = named_group(name)
         census = G.degree <= MAX_SCAN_BITS
         histogram = census_histogram(G, p) if census else None
@@ -619,6 +621,32 @@ class TestCandidateStream:
             assert 1 < report.stab_p_part < report.group_p_part
             if census:
                 assert census_histogram(R, p) == histogram, seed
+
+    @pytest.mark.parametrize("name, p", [(n, p) for (n, p), stage in PINNED_STAGES.items()
+                                         if stage == "q-orbits"])
+    def test_q_orbits_draws_are_prop31s(self, name, p):
+        # the stage is census.randomized_witness_from_z on z = x^(|x|/p), x the
+        # first p-element of the Sylow search
+        G = named_group(name)
+        x = _least_p_element(G, p)
+        z = x ** (x.order() // p)
+        for seed in range(3):
+            report = classify_moderation(G, p, seed=seed)
+            assert report.stage == "q-orbits", seed
+            assert report.witness == randomized_witness_from_z(
+                G, p, z, classify.SAMPLING_TRIALS, seed), seed
+
+    @pytest.mark.parametrize("G, p", [
+        (wreath(symmetric(5)), 5), (named_group("Product(C9,C3)"), 3),
+        (named_group("Product(C4,C7)"), 2), (named_group("Product(C8,C8)"), 2),
+    ], ids=["Sym(5)wr2", "Product(C9,C3)", "Product(C4,C7)", "Product(C8,C8)"])
+    def test_q_orbits_past_the_scan_bound(self, G, p):
+        # n > MAX_SCAN_BITS and no recipe applies: the census would refuse
+        assert G.degree > MAX_SCAN_BITS
+        report = classify_moderation(G, p)
+        assert (report.status, report.stage) == ("MODERATE", "q-orbits")
+        assert stab_p_part(G, report.witness, p) == report.stab_p_part
+        assert 1 < report.stab_p_part < report.group_p_part
 
     @pytest.mark.parametrize("name", ["AGammaL(1,9)", "AGL(2,3)", "AGL(1,19)",
                                       "Product(D6,D6)", "Sym(4)"])

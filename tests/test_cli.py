@@ -72,13 +72,28 @@ class TestClassify:
         assert part == payload["stab_p_part"] and 1 < part < payload["group_p_part"]
 
     def test_sym5_wreath_is_not_affine(self, runner, spec_file):
-        # 28800 does not divide 25 |GL(2,5)|: no recipe, and sampling then the
-        # census, which refuses 25 points
+        # 28800 does not divide 25 |GL(2,5)|: no recipe applies, and the census
+        # would refuse 25 points, so a union of the orbits of an element of order 5 decides
         G = wreath(symmetric(5))
         doc = {"degree": 25, "generators": [format_cycles(g) for g in G.generators]}
         result = runner.invoke(main, ["classify", spec_file(doc), "--p", "5"])
-        assert result.exit_code == EXIT_ERROR
-        assert "MAX_SCAN_BITS" in result.stderr
+        assert result.exit_code == EXIT_MODERATE, result.stderr
+        payload = _payload(result)
+        assert payload["stage"] == "q-orbits"
+        part = stab_p_part(G, PointSet(G.degree, payload["witness"]), 5)
+        assert (part, payload["stab_p_part"], payload["group_p_part"]) == (5, 5, 25)
+
+    @pytest.mark.parametrize("strategy", ["constructive", "exhaustive"])
+    def test_p_part_p_past_the_scan_bound(self, runner, spec_file, strategy):
+        # C26 at p = 2: EXTREME by arithmetic, and concealment stays unknown
+        # because the census refuses 26 points
+        path = spec_file({"degree": 26, "generators": [
+            "(" + " ".join(map(str, range(26))) + ")"]})
+        result = runner.invoke(main, ["classify", path, "--p", "2", "--strategy", strategy])
+        assert result.exit_code == EXIT_EXTREME, result.stderr
+        payload = _payload(result)
+        assert (payload["status"], payload["concealed"]) == ("EXTREME", None)
+        assert payload["note"] == "|G|_p = p: moderation is impossible"
 
     @pytest.mark.parametrize("command", ["classify", "witness"])
     def test_table_bound_refused_before_h_is_built(self, runner, spec_file, monkeypatch,
@@ -251,6 +266,15 @@ class TestProp31:
         assert result.exit_code == EXIT_INAPPLICABLE
         assert "elementary abelian" in result.stderr
 
+    def test_no_witness_in_the_trials(self, runner, spec_file):
+        # C4's z = (0 2)(1 3): seed 0 draws the empty union, fixed by all of C4
+        path = spec_file({"named": "C4"})
+        result = runner.invoke(main, ["prop31", path, "--p", "2", "--trials", "1",
+                                      "--seed", "0"])
+        assert result.exit_code == EXIT_ERROR
+        assert result.stderr.splitlines() == [
+            "error: criterion holds but no witness found in 1 trials"]
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one(self, runner, spec_file, trials):
         path = spec_file({"named": "C4"})
@@ -289,16 +313,22 @@ class TestErrors:
         result = runner.invoke(main, ["classify", path, "--p", "2"])
         assert result.exit_code == EXIT_ERROR
 
-    @pytest.mark.parametrize("doc, where", [
-        ({"affine": {"p": 2}}, "$.affine.k"),
-        ({"named": 5}, "$.named"),
-        ({"degree": "x", "generators": ["(0 1)"]}, "$.degree"),
-    ])
-    def test_bad_field_named_by_path(self, runner, spec_file, doc, where):
-        result = runner.invoke(main, ["census", spec_file(doc), "--p", "2"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"affine": {"p": 2}}, "$.affine.k: required field is missing"),
+        ({"named": 5}, "$.named: expected a string, got 5"),
+        ({"degree": "x", "generators": ["(0 1)"]},
+         '$.degree: expected a positive integer at most MAX_DEGREE = 4096, got "x"'),
+        ({"named": "Product(C2)"}, "$.named: expected two comma-separated names in 'C2'"),
+        ({"product": [5, {"named": "C2"}]}, "$.product[0]: expected a group document object"),
+        ({"affine": {"p": 2, "k": 1, "dim": 1, "generators": [5]}},
+         "$.affine.generators[0]: expected an object"),
+        # well formed: the trivial group on 3 points, which 2 does not divide
+        ({"named": "Trivial(3)"}, "2 does not divide |G| = 1"),
+    ], ids=lambda v: v.split(":")[0] if isinstance(v, str) else None)
+    def test_bad_field_named_by_path(self, runner, spec_file, doc, message):
+        result = runner.invoke(main, ["classify", spec_file(doc), "--p", "2"])
         assert result.exit_code == EXIT_ERROR
-        lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
+        assert result.stderr.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("doc", [
         {"degree": 10**9, "generators": ["(0 1)"]},
