@@ -7,28 +7,29 @@ A group (G, Omega) with p | |G| is:
   * p-extreme    - not p-moderate (every stabilizer p-part is 1 or full).
 
 Every per-subset fact comes from one census primitive, the orbit sizes |S^G|
-of G on all 2^n subsets (_orbit_sizes: stabilizers are counted over the cycle
-unions of G's elements when those number at most 2^n, else orbits are
-labelled from the generators alone).  By orbit-stabilizer
-|Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is fixed by some Sylow
-p-subgroup iff p does not divide |S^G|.  That census is the oracle, read only
-by exhaustive_p_parts, one p-part per distinct orbit size: the histogram sums
-mask counts by p-part, and concealment's least counterexample and the
-exhaustive witness are the least mask whose size has a marked p-part.  The
-constructive strategy first verifies the recipes' candidates, then seeded
-unions of the orbits of an element z of order p, which fixes each of them,
-and ends in the census like the exhaustive one, so the two never disagree.
-The recipes, the proof's cases for affine G = V . H, read V off the table
-that translations finds in G however G is written, and the later ones the
-linear part H = Stab_G(0) as the rows of G's table that fix 0, picked by the
-verifier's own row filter.  Witness constructors are candidate generators
-only: the verifier (stab_p_part, which filters the element rows point by
-point over Delta or its complement) alone accepts them.
+of G on all 2^n subsets (_orbit_sizes: when the cycle unions of G's elements
+number at most 2^n, it lists the masks that some g != 1 fixes, the others
+having size |G|; else it labels orbits from the generators alone).  By
+orbit-stabilizer |Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is
+fixed by some Sylow p-subgroup iff p does not divide |S^G|.  That census is
+the oracle, read only by exhaustive_p_parts, one p-part per distinct orbit
+size: the histogram sums mask counts by p-part, and concealment's least
+counterexample and the exhaustive witness are the least mask whose size has a
+marked p-part.  The constructive strategy first verifies the recipes'
+candidates, then seeded unions of the orbits of an element z of order p, which
+fixes each of them, and ends in the census like the exhaustive one, so the two
+never disagree.  The recipes, the proof's cases for affine G = V . H, read V
+off the table that translations finds in G however G is written, and the later
+ones the linear part H = Stab_G(0) as the rows of G's table that fix 0, picked
+by the verifier's own row filter.  Witness constructors are candidate
+generators only: the verifier (stab_p_part, which filters the element rows
+point by point over Delta or its complement) alone accepts them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -103,36 +104,35 @@ def is_p_concealed(G: PermGroup, p: int) -> tuple[bool, Optional[PointSet]]:
     Returns (True, None) or (False, the least subset in mask order whose
     stabilizer p-part is below |G|_p).
     """
-    sizes, _, parts = exhaustive_p_parts(G, p)
-    least = _least_mask(sizes, parts < p_part(G.order, p))
+    least = _least_mask(exhaustive_p_parts(G, p), lambda parts: parts < p_part(G.order, p))
     if least is None:
         return True, None
-    return False, PointSet.from_mask(G.degree, least)
+    return False, PointSet.from_mask(G.degree, least[0])
 
 
-def _orbit_sizes(G: PermGroup) -> np.ndarray:
-    """|S^G| for every subset mask S, by the route the input admits.
+def _orbit_sizes(G: PermGroup) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """(masks, sizes): orbit sizes |S^G|, by the route the input admits.
 
     The caller has checked MAX_SCAN_BITS.  The cycle-union route
-    (kernels.cycle_union_counts, |S^G| = |G| / |Stab(S)|) runs when all
-    of these hold:
+    (kernels.cycle_union_stabilizers, |S^G| = |G| / |Stab(S)|) lists the
+    masks that some g != 1 fixes, the others having size |G|; it runs when:
       * |G| - 1 <= 2^(n-1), since each non-identity element fixes at least
         the empty set and Omega, so more elements give more unions than masks;
       * G.elements fits MAX_TABLE_BYTES;
       * the non-identity elements' cycle unions, sum of 2^c(g), number at
         most 2^n.
     A ResourceLimit from either of the last two means the label route,
-    kernels.subset_orbit_sizes, which reads only the generators.
+    kernels.subset_orbit_sizes: masks None, each mask's size, from generators.
     """
     n = G.degree
     if 2 * (G.order - 1) <= 1 << n:
         try:
-            counts = kernels.cycle_union_counts(G.elements, n)
+            masks, stab = kernels.cycle_union_stabilizers(G.elements, n)
         except ResourceLimit:
             pass
         else:
-            return np.floor_divide(G.order, counts, out=counts)
-    return kernels.subset_orbit_sizes([g.images for g in G.generators], n)
+            return masks, np.floor_divide(G.order, stab, out=stab)
+    return None, kernels.subset_orbit_sizes([g.images for g in G.generators], n)
 
 
 # ---------------------------------------------------------------------------
@@ -320,33 +320,42 @@ class ModerationReport:
         return dict(vars(self), witness=witness)
 
 
-def exhaustive_p_parts(G: PermGroup, p: int) -> tuple[np.ndarray, ...]:
-    """The census oracle (sizes, counts, parts): sizes[S] = |S^G| for every
-    subset mask S, counts[s] the number of masks of orbit size s, and
-    parts[s] = (|G| / s)_p = |Stab(S)|_p, 0 for sizes that do not occur.
-    Raises ResourceLimit past MAX_SCAN_BITS before |G| is computed, then
-    ValueError when p does not divide |G|."""
+def exhaustive_p_parts(G: PermGroup, p: int) -> tuple:
+    """The census oracle (masks, sizes, counts, parts): (masks, sizes) from
+    _orbit_sizes, counts[s] the number of masks of orbit size s, unlisted
+    ones at |G|, and parts[s] = (|G| / s)_p = |Stab(S)|_p, 0 for sizes that
+    do not occur.  Raises ResourceLimit past MAX_SCAN_BITS before |G| is
+    computed, then ValueError when p does not divide |G|."""
     kernels.check_scan_bits(G.degree)  # before |G|, which can cost far more
     if p_part(G.order, p) == 1:
         raise ValueError(f"{p} does not divide |G|")
-    sizes = _orbit_sizes(G)
-    counts = np.bincount(sizes)
+    masks, sizes = _orbit_sizes(G)
+    counts = np.bincount(sizes, minlength=0 if masks is None else G.order + 1)
+    counts[-1] += (1 << G.degree) - sizes.size  # the unlisted masks, at |G|
     parts = np.zeros_like(counts)
     present = np.flatnonzero(counts)
     parts[present] = [p_part(G.order // int(s), p) for s in present]
-    return sizes, counts, parts
+    return masks, sizes, counts, parts
 
 
-def _least_mask(sizes: np.ndarray, marked: np.ndarray) -> Optional[int]:
-    """The least subset mask whose orbit size is marked, or None."""
+def _least_mask(census: tuple, keep) -> Optional[tuple[int, int]]:
+    """(S, |Stab(S)|_p) for the least mask S whose p-part passes keep, or None.
+    The one reader of the unlisted masks, of which the cycle route leaves some
+    (|G| = 2 gives 2^c(g) < 2^n unions, more repeat the empty one): the first gap."""
+    masks, sizes, _, parts = census
+    marked = keep(parts)
     hits = marked[sizes]
-    least = int(np.argmax(hits))
-    return least if hits[least] else None
+    i = int(np.argmax(hits))
+    found = [(i if masks is None else int(masks[i]), int(parts[sizes[i]]))] if hits[i] else []
+    if masks is not None and marked[-1]:
+        gap = bisect_left(range(masks.size), True, key=lambda j: masks[j] > j)
+        found.append((gap, int(parts[-1])))
+    return min(found, default=None)
 
 
 def census_histogram(G: PermGroup, p: int) -> dict[int, int]:
     """Map from stabilizer p-part value to the number of subsets attaining it."""
-    _, counts, parts = exhaustive_p_parts(G, p)
+    _, _, counts, parts = exhaustive_p_parts(G, p)
     return {v: int(counts[parts == v].sum())
             for v in sorted(set(parts[parts > 0].tolist()))}
 
@@ -419,15 +428,15 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
 
     report.exhaustive = True
     try:
-        sizes, counts, parts = exhaustive_p_parts(G, p)
+        census = exhaustive_p_parts(G, p)
     except ResourceLimit:
         if gp > p:
             raise
         return report  # the verdict stands; concealment stays unknown
-    least = _least_mask(sizes, (parts > 1) & (parts < gp))
+    least = _least_mask(census, lambda parts: (parts > 1) & (parts < gp))
     if least is not None:
-        return _moderate(report, "exhaustive", PointSet.from_mask(n, least),
-                         int(parts[sizes[least]]))
+        return _moderate(report, "exhaustive", PointSet.from_mask(n, least[0]), least[1])
+    _, _, counts, parts = census
     report.concealed = bool((parts[counts > 0] == gp).all())
     return report
 

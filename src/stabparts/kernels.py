@@ -4,12 +4,12 @@ Subsets are encoded as bit masks, point i -> bit 2^i.  Every per-subset fact
 follows from the orbit sizes |S^G|, since |Stab(S)| = |G| / |S^G| and S is
 fixed by a Sylow p-subgroup iff p does not divide |S^G|.  Two production
 kernels give them, and `classify._orbit_sizes` picks one from the input:
-`cycle_union_counts` counts |Stab(S)| over the element table, since each
-element fixes exactly the unions of its cycles; `subset_orbit_sizes` labels
-the masks' orbits from the generators alone, for groups whose table is too
-large or whose cycle unions outnumber the masks.  `stabilizer_counts` and
-`mark_orbit_unions` are definitional references that only the tests and the
-benchmark's tracer use; no production code calls them.
+`cycle_union_stabilizers` lists the masks that some g != 1 fixes (the unions
+of its cycles) with |Stab(S)|, a mask not listed having trivial stabilizer;
+`subset_orbit_sizes` labels the masks' orbits from the generators alone, for
+groups whose table is too large or whose cycle unions outnumber the masks.
+`stabilizer_counts` and `mark_orbit_unions` are definitional references that
+only the tests and the benchmark's tracer use; no production code calls them.
 """
 
 from __future__ import annotations
@@ -62,16 +62,18 @@ def subset_orbit_sizes(gens: Iterable[np.ndarray], n: int) -> np.ndarray:
     return np.bincount(label, minlength=1 << n)[label]
 
 
-def cycle_union_counts(elems: np.ndarray, n: int) -> np.ndarray:
-    """|Stab(S)| for every subset mask S, from the cycles of each element.
+def cycle_union_stabilizers(elems: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, stab): the sorted int32 masks that some non-identity element
+    fixes, and |Stab(S)| for each; a mask not listed has trivial stabilizer.
 
     elems is the sorted (|G|, n) element table, row 0 the identity.  An
     element g fixes exactly the 2^c(g) unions of its c(g) cycles, so
     |Stab(S)| is 1 plus the number of non-identity rows of which S is a
     cycle union.  Each point's cycle mask is ORed up by pointer doubling;
     the rows are grouped by cycle count and each group's unions are built
-    by doubling, then counted.  Raises ResourceLimit, before any union is
-    built, when sum over g != 1 of 2^c(g) exceeds the 2^n masks.
+    by doubling and sorted in place: a run of equal unions is one mask.
+    Raises ResourceLimit, before any union is built, when sum over g != 1
+    of 2^c(g) exceeds the 2^n masks.
     """
     check_scan_bits(n)
     step = elems[1:]
@@ -97,9 +99,13 @@ def cycle_union_counts(elems: np.ndarray, n: int) -> np.ndarray:
         out[:, 0] = 0
         for j in range(c):
             np.bitwise_or(out[:, :1 << j], cycles[:, j, None], out=out[:, 1 << j:2 << j])
-    counts = np.bincount(unions, minlength=1 << n)
-    counts += 1  # the identity fixes every mask
-    return counts
+    unions.sort()
+    first = np.ones(total, dtype=bool)  # where a run of equal unions starts
+    np.not_equal(unions[1:], unions[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    stab = np.diff(starts, append=total)
+    stab += 1  # the identity fixes every mask
+    return unions[starts], stab
 
 
 def stabilizer_counts(elems: np.ndarray, n: int) -> np.ndarray:

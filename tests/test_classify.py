@@ -284,6 +284,12 @@ class TestCensusHistogram:
 @given(small_groups(max_order=720))
 @example(named_group("C4"))
 @example(named_group("Sym(4)"))
+# on the cycle route: the least counterexample at p = 2 is {1}, fixed by no
+# g != 1 and so unlisted, below the listed ones {1, 2}, {0, 1, 2} and {3, 4}
+@example(PermGroup.from_cycles(5, ["(1 4 2 3)"]))
+# on the cycle route: the least counterexample and the exhaustive witness is
+# {0}, fixed by (2 4)(3 5); the masks with 1 < part < 4 are all listed
+@example(PermGroup.from_cycles(6, ["(0 1)(2 3 4 5)"]))
 def test_census_matches_element_scan(G):
     """The histogram, the exhaustive verdict with its least witness, the
     concealed flag and is_p_concealed's least counterexample against the

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -11,6 +12,7 @@ from stabparts import (
     ResourceLimit,
     all_sylows,
     census_histogram,
+    classify_moderation,
     is_p_concealed,
     named_group,
     orbits,
@@ -20,7 +22,7 @@ from stabparts.classify import _orbit_sizes
 from stabparts.fields import prime_divisors
 from stabparts.kernels import (
     MAX_SCAN_BITS,
-    cycle_union_counts,
+    cycle_union_stabilizers,
     mark_orbit_unions,
     stabilizer_counts,
     subset_orbit_sizes,
@@ -137,6 +139,13 @@ def _label_route(G):
     return subset_orbit_sizes([g.images for g in G.generators], G.degree)
 
 
+def _dense(masks, values, n, unlisted):
+    """values spread over all 2^n masks, unlisted at every mask not in masks."""
+    out = np.full(1 << n, unlisted, dtype=values.dtype)
+    out[masks] = values
+    return out
+
+
 # the nine census-workload groups of perfbench, the zoo, and two at n = 23, 24
 ROUTE_GROUPS = (
     "Product(C2,AGL(1,5))", "AGL(1,11)", "Product(D6,Sym(4))", "AGL(1,13)",
@@ -158,18 +167,41 @@ class TestCycleUnionCounts:
         n = G.degree
         unions = sum(1 << len(orbits([g], n)) for g in G.iter_elements()) - (1 << n)
         if unions > 1 << n:
-            with pytest.raises(ResourceLimit, match="cycle unions"):
-                cycle_union_counts(G.elements, n)
+            with pytest.raises(ResourceLimit, match=f"^{unions} cycle unions"):
+                cycle_union_stabilizers(G.elements, n)
             return
-        counts = cycle_union_counts(G.elements, n)
+        masks, stab = cycle_union_stabilizers(G.elements, n)
+        assert masks.dtype == np.int32 and (np.diff(masks) > 0).all()
+        assert (stab > 1).all()  # a listed mask is fixed by some g != 1
+        counts = _dense(masks, stab, n, 1)
         assert np.array_equal(counts, stabilizer_counts(G.elements, n))
         assert np.array_equal(counts, G.order // _label_route(G))
 
     @pytest.mark.parametrize("name", ROUTE_GROUPS)
     def test_orbit_sizes_equal_label_route(self, name):
         G = named_group(name)
-        sizes, labels = _orbit_sizes(G), _label_route(G)
+        (masks, sizes), labels = _orbit_sizes(G), _label_route(G)
+        if masks is not None:
+            sizes = _dense(masks, sizes, G.degree, G.order)
         assert sizes.dtype == labels.dtype and np.array_equal(sizes, labels)
+
+    @pytest.mark.parametrize("census", [
+        lambda G: census_histogram(G, 2),
+        lambda G: is_p_concealed(G, 2),
+        lambda G: classify_moderation(G, 2, "exhaustive"),
+    ], ids=["census_histogram", "is_p_concealed", "classify_moderation"])
+    def test_agl_1_23_traced_peak(self, census):
+        """Under one byte per mask: the census holds only the 94256 masks
+        that some g != 1 fixes, not an array over all 2^23."""
+        G = named_group("AGL(1,23)")
+        G.elements  # the table is built once per group, outside the census
+        tracemalloc.start()
+        try:
+            census(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 23
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_symmetric_groups_build_no_table(self, n):
@@ -192,7 +224,7 @@ class TestLabelRouteAtScale:
 
     def test_unions_refused(self, G):
         with pytest.raises(ResourceLimit, match=str(2**10 * 3**10 - 2**20)):
-            cycle_union_counts(G.elements, G.degree)
+            cycle_union_stabilizers(G.elements, G.degree)
 
     def test_census_closed_form(self, G):
         assert census_histogram(G, 2) == {2 ** (10 - s): comb(10, s) << 10
