@@ -360,6 +360,12 @@ class StabilizerChain:
 # ---------------------------------------------------------------------------
 
 
+def _owned(g: Permutation) -> Permutation:
+    """g, or a copy of it when its images are a view, such as a row of an
+    element table: a generator kept as a view keeps the whole array alive."""
+    return g if g.images.base is None else Permutation._trusted(g.images.copy())
+
+
 class PermGroup:
     """A group of permutations of {0..n-1} given by generators.
 
@@ -371,7 +377,7 @@ class PermGroup:
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
                  name: Optional[str] = None):
-        gens = [g for g in generators if not g.is_identity()]
+        gens = [_owned(g) for g in generators if not g.is_identity()]
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch("generator degree mismatch")
@@ -412,7 +418,8 @@ class PermGroup:
         one point at a time (setwise stabilizers, the normalizer's orbit
         prefilter) read whole columns.  A row E[i] is a strided view, and
         readers that need contiguous rows copy them.  The sort reads only
-        the columns up to the largest base point (see _enumerate).  Raises
+        the columns up to the largest base point and is applied in place, so
+        a build peaks near 1.2 times the table (see _enumerate).  Raises
         ResourceLimit, before anything is allocated, when the table would
         exceed MAX_TABLE_BYTES.
         """
@@ -438,11 +445,14 @@ class PermGroup:
         and the order on those columns is the full lexicographic order.
         A point takes bits = max(1, (n-1).bit_length()) bits, so those columns
         are packed 63 // bits to a non-negative int64 key, the first column
-        highest, and one lexsort runs over those few keys.
+        highest, one column at a time; one lexsort runs over those few keys.
+        The sort order is then applied to arrT in place, an eighth of the
+        points at a time, so the build never holds a second full table: its
+        peak is the table plus one block and the sort order.
         """
         n = self.degree
         levels = self.chain.levels
-        arrT = self.chain.identity[:, np.newaxis]
+        arrT = self.chain.identity[:, np.newaxis].copy()  # written in place below
         for lvl in reversed(levels):
             repsT = np.stack(list(lvl.transversal.values()), axis=1)
             arrT = np.take(repsT, arrT, axis=0).reshape(n, -1)
@@ -451,10 +461,18 @@ class PermGroup:
         per = 63 // bits
         keys = []
         for start in range(0, columns, per):
-            width = min(per, columns - start)
-            weights = np.int64(1) << bits * np.arange(width - 1, -1, -1, dtype=np.int64)
-            keys.append(weights @ arrT[start:start + width])
-        arr = np.take(arrT, np.lexsort(keys[::-1]), axis=1).T
+            key = arrT[start].astype(np.int64)
+            for row in arrT[start + 1:min(start + per, columns)]:
+                key <<= bits
+                key |= row
+            keys.append(key)
+        order = np.lexsort(keys[::-1])
+        del keys  # freed before the blocks are gathered
+        step = -(-n // 8)
+        for start in range(0, n, step):
+            block = arrT[start:start + step]
+            block[...] = block.take(order, axis=1)
+        arr = arrT.T
         arr.setflags(write=False)
         return arr
 
@@ -471,6 +489,7 @@ class PermGroup:
     def grow(self, g: Permutation) -> bool:
         """Add g to the generators and extend the chain by it, dropping any
         cached element table; False, with nothing changed, when g is a member."""
+        g = _owned(g)  # the chain may keep g's images as a strong generator
         if not self.chain.add_generator(g):
             return False
         self.generators += (g,)

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stabparts import (
     PermGroup,
     PointSet,
     ResourceLimit,
+    all_sylows,
     compose,
     element_order,
     format_cycles,
@@ -226,6 +228,54 @@ class TestTableOrder:
         assert G.elements.tolist() == [list(range(degree))]
 
 
+def _reference_table(G):
+    """G's elements as products of transversal representatives, deepest level
+    first, in row-major order, sorted by one lexsort on every column and one
+    gather."""
+    E = G.chain.identity[np.newaxis]
+    for lvl in reversed(G.chain.levels):
+        reps = np.stack(list(lvl.transversal.values()))
+        E = reps[:, E].reshape(-1, G.degree)  # e, then each representative
+    return E[np.lexsort(E.T[::-1])]
+
+
+def _involution(n):
+    return PermGroup(n, [Permutation(np.arange(n)[::-1])])
+
+
+class TestInPlaceSort:
+    # the sort order is applied to the transposed table an eighth of the
+    # points at a time: ceil(n / 8) points a block
+    @pytest.mark.parametrize("G, keys, blocks", [
+        (named_group("Product(J,J)"), 2, 8),
+        (_involution(4096), 1, 8),
+        (named_group("AGL(1,7)"), 1, 7),
+        (named_group("AGL(2,3)"), 1, 5),
+        (PermGroup.trivial(5), 1, 5),
+        (PermGroup.from_cycles(9, ["(1 2 3)(4 5)", "(6 7 8)", "(1 2)"]), 1, 5),
+    ], ids=["JxJ", "involution-4096", "degree-7", "degree-9", "Trivial(5)", "fixes-0"])
+    def test_matches_reference(self, G, keys, blocks):
+        assert _sort_keys(G)[1] == keys
+        assert len(range(0, G.degree, -(-G.degree // 8))) == blocks
+        _assert_full_lex_order(G)
+        if G.degree <= 9:
+            _assert_table(G)
+        assert np.array_equal(G.elements, _reference_table(G))
+
+    def test_jxj_traced_peak(self):
+        # gathering a sorted second table would peak above twice the table
+        G = named_group("Product(J,J)")
+        G.chain  # the chain is built once per group, outside the table
+        tracemalloc.start()
+        try:
+            E = G.elements
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert E.nbytes == 28224 * 64 * 4
+        assert peak < 1.25 * E.nbytes
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_groups(max_order=5040), st.integers(0, 60), st.integers(0, 8))
 @example(PermGroup.from_cycles(6, ["(0 1 2 3 4 5)", "(0 1)"]), 60, 4)
@@ -360,6 +410,37 @@ class TestGrow:
         assert G._elements is None and G.generators[-1] == g
         assert np.array_equal(G.elements, PermGroup(4, G.generators).elements)
         assert G.order == 8
+
+
+def _pinned_bytes(G):
+    """(bytes reachable through the .base of G's generators and strong
+    generators, the bytes of their own images)."""
+    arrays = [g.images for g in G.generators] + [s for s, _ in G.chain.strong]
+    return (sum(a.base.nbytes for a in arrays if a.base is not None),
+            len(arrays) * G.degree * 4)
+
+
+class TestGeneratorsOwnTheirImages:
+    # a generator grown from a table row is copied, or it keeps the table alive
+    @pytest.mark.parametrize("p", [2, 7])
+    def test_sylow_from_normalizer_rows(self, jxj, p):
+        P = all_sylows(jxj, p).representative
+        pinned, own = _pinned_bytes(P)
+        assert pinned <= own
+
+    def test_setwise_stabilizer_from_table_rows(self, jxj):
+        H = setwise_stabilizer(jxj, PointSet(64, [0, 1, 2, 9]))
+        assert 1 < H.order < jxj.order
+        pinned, own = _pinned_bytes(H)
+        assert pinned <= own
+
+    def test_row_generator_is_copied(self):
+        G = named_group("J")
+        row = G.elements[1]
+        assert row.base is not None
+        H = G.subgroup([Permutation._trusted(row)])
+        assert H.generators[0].images.base is None
+        assert H.generators[0] == Permutation._trusted(row)
 
 
 @settings(max_examples=60, deadline=None)
