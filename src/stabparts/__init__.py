@@ -36,10 +36,9 @@ from .classify import (
     regular_orbit_pair,
     regular_orbit_vector,
     setwise_stabilizer,
-    stab_p_part,
     translation_witness,
 )
-from .fields import FiniteField, build_field
+from .fields import FiniteField, build_field, p_part
 from .perms import (
     DegreeMismatch,
     Permutation,
@@ -54,6 +53,7 @@ from .perms import (
     orbits,
     parse_cycles,
     primitivity_blocks,
+    stab_p_part,
 )
 from .sylow import (
     SylowData,
@@ -61,5 +61,4 @@ from .sylow import (
     find_sylow,
     frattini_center_element,
     is_elementary_abelian,
-    p_part,
 )

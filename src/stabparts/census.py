@@ -1,6 +1,10 @@
 """Subset-census counting: exact orbit-union counts, the counting-criterion
 certificate, and the randomized witness search it implies.
 
+The search checks its unions of z-orbits with perms.stab_p_part, and the
+constructive classifier runs it as its q-orbits stage: classify imports
+this module, never the reverse.
+
 All inequality checks are exact integer comparisons: the criterion
 |G : N(P)| < 2^((n-f)(1/p - 1/p^2)) is decided as
 |G : N(P)|^(p^2) < 2^((n-f)(p-1)), both sides arbitrary-precision.
@@ -15,9 +19,10 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .classify import stab_p_part
-from .perms import PermGroup, Permutation, PointSet, normalizer, orbits
-from .sylow import SylowData, find_sylow, frattini_center_element, p_part
+from .fields import p_part
+from .perms import (PermGroup, Permutation, PointSet, format_cycles, normalizer, orbits,
+                    stab_p_part)
+from .sylow import SylowData, find_sylow, frattini_center_element
 
 
 class CriterionInapplicable(ValueError):
@@ -106,8 +111,6 @@ class CountingCertificate:
         return 1 << ((self.n - self.fixed_points) * (self.p - 1))
 
     def to_json(self) -> dict:
-        from .perms import format_cycles
-
         return {
             "p": self.p,
             "n": self.n,

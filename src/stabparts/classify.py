@@ -17,13 +17,14 @@ size: the histogram sums mask counts by p-part, and concealment's least
 counterexample and the exhaustive witness are the least mask whose size has a
 marked p-part.  The constructive strategy first verifies the recipes'
 candidates, then seeded unions of the orbits of an element z of order p, which
-fixes each of them, and ends in the census like the exhaustive one, so the two
-never disagree.  The recipes, the proof's cases for affine G = V . H, read V
-off the table that translations finds in G however G is written, and the later
-ones the linear part H = Stab_G(0) as the rows of G's table that fix 0, picked
-by the verifier's own row filter.  Witness constructors are candidate
-generators only: the verifier (stab_p_part, which filters the element rows
-point by point over Delta or its complement) alone accepts them.
+fixes each of them (census.randomized_witness_from_z, prop31's search), and
+ends in the census like the exhaustive one, so the two never disagree.  The
+recipes, the proof's cases for affine G = V . H, read V off the table that
+translations finds in G however G is written, and the later ones the linear
+part H = Stab_G(0) as the rows of G's table that fix 0, picked by the
+verifier's own row filter.  Witness constructors are candidate generators
+only: the verifier (perms.stab_p_part, which filters the element rows point
+by point over Delta or its complement) alone accepts them.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import kernels
-from .fields import prime_power
+from .census import randomized_witness_from_z
+from .fields import p_part, prime_power
 from .perms import (PermGroup, Permutation, PointSet, ResourceLimit, _least_element_of_order,
-                    _order_p_rows, centralizing_rows, orbits, point_stabilizer_of_zero)
-from .sylow import _least_p_element, is_elementary_abelian, is_p_group, normal_closure, p_part
+                    _order_p_rows, _stabilizing_rows, centralizing_rows, orbits,
+                    point_stabilizer_of_zero, stab_p_part)
+from .sylow import _least_p_element, is_elementary_abelian, is_p_group, normal_closure
 
 SAMPLING_TRIALS = 200
 
@@ -47,29 +50,6 @@ SAMPLING_TRIALS = 200
 # ---------------------------------------------------------------------------
 # Setwise stabilizers
 # ---------------------------------------------------------------------------
-
-
-def _stabilizing_rows(G: PermGroup, delta: PointSet) -> np.ndarray:
-    """Increasing indices of the rows of G.elements that fix delta setwise.
-
-    A bijection fixes delta iff it maps delta, or equally its complement,
-    into itself: the smaller side filters the rows one point at a time.
-    G.elements is point-major, so the first point's filter reads one whole
-    contiguous column, and each later one reads its column at the rows kept.
-    """
-    if delta.degree != G.degree:
-        raise ValueError("point set degree mismatch")
-    side = delta.bool_array()
-    if 2 * side.sum() > G.degree:
-        side = ~side
-    E = G.elements
-    points = np.flatnonzero(side)
-    if points.size == 0:  # delta is empty or all of Omega
-        return np.arange(E.shape[0])
-    keep = np.flatnonzero(side[E[:, points[0]]])
-    for x in points[1:]:
-        keep = keep[side[E[:, x].take(keep)]]
-    return keep
 
 
 def setwise_stabilizer(G: PermGroup, delta: PointSet) -> PermGroup:
@@ -86,11 +66,6 @@ def setwise_stabilizer(G: PermGroup, delta: PointSet) -> PermGroup:
         H.grow(Permutation._trusted(G.elements[i]))
     assert H.order == rows.size, "the stabilizing rows are not a subgroup"
     return H
-
-
-def stab_p_part(G: PermGroup, delta: PointSet, p: int) -> int:
-    """|Stab_G(delta)|_p, from the number of stabilizing rows."""
-    return p_part(_stabilizing_rows(G, delta).size, p)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +347,17 @@ def constructive_candidates(G: PermGroup, p: int) -> Iterator[tuple[str, PointSe
     the translation candidate has not decided: the rows of G's table that fix
     {0}, by the filter that verifies every candidate.  The other recipes read
     that table.  A recipe whose preconditions fail gives no candidate.
+
+    regular-vector runs at p = 2 only: with v in a regular H-orbit, the
+    elements that fix 0 and v lie in G_0 & G_v = 1, so |Stab({0, v})| <= 2.
     """
     T = translations(G)
     if T is None:
         return
     yield from _recipe("translation", lambda: [translation_witness(G, p, T)])
     H = G.elements[_stabilizing_rows(G, PointSet(G.degree, [0]))]
-    yield from _recipe("regular-vector", lambda: [regular_vector_witness(G, p, H)])
     if p == 2:
+        yield from _recipe("regular-vector", lambda: [regular_vector_witness(G, p, H)])
         yield from _recipe("regular-triple", lambda: [p2_regular_witness(G, p, H)])
         yield from _recipe("metacyclic", lambda: [metacyclic_witness(G, p, H, T)])
     else:
@@ -402,7 +380,6 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
     p-element (stage q-orbits); both strategies end in the census, so the
     verdict is exact.
     """
-    from .census import randomized_witness_from_z  # census imports classify
     if strategy not in ("exhaustive", "constructive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     order = G.order

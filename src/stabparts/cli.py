@@ -22,14 +22,8 @@ from .census import (
     randomized_witness_from_z,
     sylow_cover_bound,
 )
-from .classify import (
-    ModerationReport,
-    census_histogram,
-    classify_moderation,
-    is_p_concealed,
-    stab_p_part,
-)
-from .perms import MAX_DEGREE, PermGroup, ResourceLimit, is_primitive
+from .classify import ModerationReport, census_histogram, classify_moderation, is_p_concealed
+from .perms import MAX_DEGREE, PermGroup, ResourceLimit, is_primitive, stab_p_part
 from .sylow import all_sylows
 from .verify import run_all
 
@@ -106,8 +100,6 @@ _spec_arg = click.argument("spec_file", type=click.Path(exists=True, dir_okay=Fa
 _p_opt = click.option("--p", "p", type=click.IntRange(max=MAX_DEGREE), required=True,
                       help="prime p")
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
-_trials_opt = click.option("--trials", type=click.IntRange(min=1), default=1000,
-                           show_default=True)
 
 
 @main.command()
@@ -166,7 +158,7 @@ def sylow(spec_file, p):
 @main.command()
 @_spec_arg
 @_p_opt
-@_trials_opt
+@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 @_seed_opt
 def prop31(spec_file, p, trials, seed):
     """Counting-criterion certificate, plus a randomized witness when it holds."""
@@ -195,11 +187,10 @@ def witness(spec_file, p, seed):
 
 @main.command("verify-paper")
 @_seed_opt
-@_trials_opt
-def verify_paper(seed, trials):
+def verify_paper(seed):
     """Run the full reproduction suite; one pass/fail line per criterion."""
     started = time.time()
-    checks = run_all(seed=seed, trials=trials)
+    checks = run_all(seed=seed)
     for check in checks:
         print(check.line(), file=sys.stderr)
     failed = [c for c in checks if not c.passed]

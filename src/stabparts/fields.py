@@ -46,6 +46,19 @@ def prime_divisors(n: int) -> list[int]:
     return out
 
 
+def p_part(n: int, p: int) -> int:
+    """Largest power of p dividing n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    part = 1
+    while n % p == 0:
+        n //= p
+        part *= p
+    return part
+
+
 def prime_power(n: int) -> tuple[int, int] | None:
     """(r, d) with n = r^d for a prime r and d >= 1, or None."""
     primes = prime_divisors(n)

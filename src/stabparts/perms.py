@@ -4,6 +4,10 @@ Convention: points are acted on from the right, so (x)(ab) = ((x)a)b.
 compose(a, b) means "apply a, then b".  This matters: composition order is
 the classic source of silent bugs, so every routine in this package sticks
 to the right-action convention.
+
+The row filters over a group's point-major element table live here: setwise
+stabilizers (stab_p_part, the verifier of every witness), the normalizer,
+and the centralizing and order-p rows.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .fields import is_prime
+from .fields import is_prime, p_part
 
 MAX_DEGREE = 4096  # bound on the degree of any group built from a document
 MAX_TABLE_BYTES = 1 << 26  # bound on |G| * degree * 4, the bytes of an element table
@@ -515,8 +519,36 @@ class PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# Normalizer, vectorized over the element table
+# Row filters over the point-major element table
 # ---------------------------------------------------------------------------
+
+
+def _stabilizing_rows(G: PermGroup, delta: PointSet) -> np.ndarray:
+    """Increasing indices of the rows of G.elements that fix delta setwise.
+
+    A bijection fixes delta iff it maps delta, or equally its complement,
+    into itself: the smaller side filters the rows one point at a time.
+    G.elements is point-major, so the first point's filter reads one whole
+    contiguous column, and each later one reads its column at the rows kept.
+    """
+    if delta.degree != G.degree:
+        raise ValueError("point set degree mismatch")
+    side = delta.bool_array()
+    if 2 * side.sum() > G.degree:
+        side = ~side
+    E = G.elements
+    points = np.flatnonzero(side)
+    if points.size == 0:  # delta is empty or all of Omega
+        return np.arange(E.shape[0])
+    keep = np.flatnonzero(side[E[:, points[0]]])
+    for x in points[1:]:
+        keep = keep[side[E[:, x].take(keep)]]
+    return keep
+
+
+def stab_p_part(G: PermGroup, delta: PointSet, p: int) -> int:
+    """|Stab_G(delta)|_p, from the number of stabilizing rows."""
+    return p_part(_stabilizing_rows(G, delta).size, p)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:

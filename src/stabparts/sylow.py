@@ -12,21 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .fields import is_prime
+from .fields import p_part
 from .perms import PermGroup, Permutation, _order_p_rows, centralizing_rows, normalizer
-
-
-def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    part = 1
-    while n % p == 0:
-        n //= p
-        part *= p
-    return part
 
 
 @dataclass

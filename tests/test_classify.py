@@ -160,6 +160,10 @@ class TestStabPPart:
         assert 1 < part < p_part(G.order, 2)
         assert part == 2
 
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError, match="point set degree mismatch"):
+            stab_p_part(named_group("AGL(1,5)"), PointSet(6, [0, 1]), 2)
+
 
 class TestConcealed:
     def test_d6(self):
@@ -548,6 +552,12 @@ class TestP2RegularWitness:
             G = named_group("J")
             p2_regular_witness(G, 2, linear_part(G))
 
+    def test_odd_order_h(self):
+        # H = C3 in AGL(1,4) has a regular orbit but no involution
+        G = named_group("AGL(1,4)")
+        with pytest.raises(ConstructorInapplicable, match="H has no involution"):
+            p2_regular_witness(G, 2, linear_part(G))
+
 
 class TestMetacyclicWitness:
     def test_shape(self, metacyclic_group):
@@ -610,6 +620,18 @@ class TestCandidateStream:
             order = named_group(name).order
             squared = {p for p in prime_divisors(order) if order % (p * p) == 0}
             assert squared == {p for n, p in PINNED_STAGES if n == name}, name
+
+    @pytest.mark.parametrize("name, p, asked", [
+        ("AGL(1,5)", 2, [2]), ("AGL(1,19)", 3, []),
+    ])
+    def test_regular_vector_only_at_two(self, monkeypatch, name, p, asked):
+        # at odd p, {0, v} with v regular for H has |Stab| <= 2: p-part 1
+        recipe, calls = classify.regular_vector_witness, []
+        monkeypatch.setattr(classify, "regular_vector_witness",
+                            lambda G, p, H: calls.append(p) or recipe(G, p, H))
+        report = classify_moderation(named_group(name), p)
+        assert report.stage == PINNED_STAGES[name, p]
+        assert calls == asked
 
     @pytest.mark.parametrize("name, p", list(PINNED_STAGES))
     def test_relabelling_keeps_verdict_and_stage(self, name, p):

@@ -361,15 +361,15 @@ class TestErrors:
     def test_p_above_max_degree(self, runner, spec_file, monkeypatch, command):
         # a prime dividing |G| is at most the degree: a larger p is refused by
         # the option, before trial division up to its root would hang
-        import stabparts.sylow
+        import stabparts.fields  # p_part's primality test
 
-        is_prime = stabparts.sylow.is_prime
+        is_prime = stabparts.fields.is_prime
 
         def bounded(n):
             assert n <= 4096, f"primality test on {n}"
             return is_prime(n)
 
-        monkeypatch.setattr(stabparts.sylow, "is_prime", bounded)
+        monkeypatch.setattr(stabparts.fields, "is_prime", bounded)
         result = runner.invoke(main, [command, spec_file({"named": "C4"}),
                                       "--p", str(10**18 + 3)])
         assert result.exit_code == EXIT_ERROR
@@ -396,13 +396,20 @@ class TestErrors:
 
 class TestVerifyPaper:
     def test_runs_clean(self, runner):
-        result = runner.invoke(main, ["verify-paper", "--trials", "50"])
+        result = runner.invoke(main, ["verify-paper"])
         assert result.exit_code == 0, result.stderr
         doc = json.loads(result.stdout)
         assert doc["payload"]["failed"] == 0
         assert doc["payload"]["passed"] == len(doc["payload"]["checks"])
         lines = [l for l in result.stderr.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == len(doc["payload"]["checks"])
+
+    def test_trials_is_not_an_option(self, runner):
+        # the J x J search takes the default draws: --trials is a usage error,
+        # refused before any check runs, not reported as a FAIL
+        result = runner.invoke(main, ["verify-paper", "--trials", "50"])
+        assert result.exit_code == 2
+        assert "--trials" in result.stderr and "FAIL" not in result.stderr
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one(self, runner, trials):
@@ -416,16 +423,14 @@ class TestVerifyPaper:
         result = runner.invoke(main, ["classify", spec_file({"named": "C4"}), "--p", "2"])
         assert list(json.loads(result.stdout)) == [
             "tool", "version", "input", "group", "payload", "elapsed_seconds"]
-        result = runner.invoke(main, ["verify-paper", "--trials", "50"])
+        result = runner.invoke(main, ["verify-paper"])
         assert list(json.loads(result.stdout)) == [
             "tool", "version", "payload", "elapsed_seconds"]
 
     def test_seed_determinism(self, runner):
         blobs = set()
         for _ in range(2):
-            result = runner.invoke(
-                main, ["verify-paper", "--seed", "0", "--trials", "50"]
-            )
+            result = runner.invoke(main, ["verify-paper", "--seed", "0"])
             doc = json.loads(result.stdout)
             blobs.add(json.dumps(doc["payload"], sort_keys=True))
         assert len(blobs) == 1

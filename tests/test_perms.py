@@ -43,6 +43,9 @@ class TestParseCycles:
         # x -> -x mod 5
         assert list(parse_cycles("(1 4)(2 3)", 5).images) == [0, 4, 3, 2, 1]
 
+    def test_space_between_cycles(self):
+        assert parse_cycles("(0 1) (2 3)", 4) == parse_cycles("(0 1)(2 3)", 4)
+
     @pytest.mark.parametrize("bad", ["(0 1", "0 1)", "(0 5)", "(0 0)", "(0 1)(1 2)", "(x)", "()"])
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
@@ -82,6 +85,10 @@ class TestCompose:
     def test_inverse(self):
         g = parse_cycles("(0 1 2 3 4)(5 6)", 7)
         assert compose(g, g.inverse()).is_identity()
+
+    def test_negative_power(self):
+        g = parse_cycles("(0 1 2)", 3)
+        assert g ** -2 == g
 
 
 @pytest.mark.parametrize("images", [[0, 0, 1], [1, 2, 3], [-1, 0, 1], [[0, 1]], []])
@@ -683,6 +690,9 @@ class TestPointSet:
     def test_image(self):
         g = parse_cycles("(0 1 2)", 3)
         assert PointSet(3, [0]).image(g) == PointSet(3, [1])
+
+    def test_iterates_sorted(self):
+        assert list(PointSet(5, [3, 1])) == [1, 3]
 
 
 @given(st.permutations(list(range(8))))

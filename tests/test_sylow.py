@@ -35,6 +35,10 @@ class TestPPart:
         with pytest.raises(ValueError):
             p_part(24, 4)
 
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            p_part(0, 2)
+
 
 class TestFindSylow:
     def test_j_sylow3(self):
