@@ -256,8 +256,7 @@ def orbit_witness_odd_p(G: PermGroup, p: int, H: np.ndarray, T: np.ndarray) -> l
         raise ConstructorInapplicable("no regular pair on V + V")
     v, w = pair
     orbit = {x: set(orb) for orb in orbits([t], G.degree) for x in orb}
-    if len(orbit[v]) == 1 and len(orbit[w]) == 1:
-        raise ConstructorInapplicable("t centralizes both regular coordinates")
+    # t != 1 lies in H and no such row fixes both v and w, so t moves one of them
     if len(orbit[v]) == 1:
         v, w = w, v
     if len(orbit[w]) == 1:

@@ -21,7 +21,9 @@ import numpy as np
 from .fields import is_prime, p_part
 
 MAX_DEGREE = 4096  # bound on the degree of any group built from a document
-MAX_TABLE_BYTES = 1 << 26  # bound on |G| * degree * 4, the bytes of an element table
+# bound on |G| * degree * 4; a stored table takes 1/4 of that up to degree 256
+# (one byte a point) and 1/2 up to MAX_DEGREE (two bytes)
+MAX_TABLE_BYTES = 1 << 26
 
 
 class DegreeMismatch(ValueError):
@@ -53,7 +55,14 @@ class Permutation:
 
     @classmethod
     def _trusted(cls, images: np.ndarray) -> "Permutation":
-        """A permutation from an int32 image array that is a bijection by construction."""
+        """A permutation from an image array that is a bijection by construction.
+
+        A row of an element table, stored at the table's narrow width, is
+        copied to int32 here, so every Permutation, its key, == and hash
+        are the same however its images were stored, and a group whose
+        generators are grown from table rows does not keep the table alive."""
+        if images.dtype != np.int32:
+            images = images.astype(np.int32)
         g = object.__new__(cls)
         images.setflags(write=False)
         g.images = images
@@ -364,12 +373,6 @@ class StabilizerChain:
 # ---------------------------------------------------------------------------
 
 
-def _owned(g: Permutation) -> Permutation:
-    """g, or a copy of it when its images are a view, such as a row of an
-    element table: a generator kept as a view keeps the whole array alive."""
-    return g if g.images.base is None else Permutation._trusted(g.images.copy())
-
-
 class PermGroup:
     """A group of permutations of {0..n-1} given by generators.
 
@@ -381,7 +384,7 @@ class PermGroup:
 
     def __init__(self, degree: int, generators: Iterable[Permutation],
                  name: Optional[str] = None):
-        gens = [_owned(g) for g in generators if not g.is_identity()]
+        gens = [g for g in generators if not g.is_identity()]
         for g in gens:
             if g.degree != degree:
                 raise DegreeMismatch("generator degree mismatch")
@@ -417,15 +420,20 @@ class PermGroup:
     def elements(self) -> np.ndarray:
         """All elements as a lexicographically sorted (|G|, n) image array.
 
+        Each image is stored in np.min_scalar_type(n - 1), the narrowest
+        unsigned type that holds it: uint8 up to n = 256, uint16 up to 4096.
+        The readers compare, index and gather, which need no wider type, and
+        a Permutation made from a row is int32 (Permutation._trusted).
         The table is stored point-major (Fortran order): E[:, x], the image
         of x under every element, is contiguous, so the filters that read
         one point at a time (setwise stabilizers, the normalizer's orbit
         prefilter) read whole columns.  A row E[i] is a strided view, and
         readers that need contiguous rows copy them.  The sort reads only
         the columns up to the largest base point and is applied in place, so
-        a build peaks near 1.2 times the table (see _enumerate).  Raises
-        ResourceLimit, before anything is allocated, when the table would
-        exceed MAX_TABLE_BYTES.
+        a build holds one table plus its sort keys and order (see
+        _enumerate).  Raises
+        ResourceLimit, before anything is allocated, when |G| * n * 4 bytes
+        would exceed MAX_TABLE_BYTES.
         """
         if self._elements is None:
             size = self.order * self.degree * 4
@@ -439,6 +447,8 @@ class PermGroup:
         """Every element as a product of transversal representatives, deepest
         level first: each level multiplies the elements so far on the right
         by its representatives, one gather of the representatives by them.
+        The identity and the representatives are cast to the table's narrow
+        type first, so every level's product is built at that width.
 
         The table is built transposed, one point per row of arrT, so the
         gathers, the sort keys and the sort read contiguous rows of arrT;
@@ -456,9 +466,10 @@ class PermGroup:
         """
         n = self.degree
         levels = self.chain.levels
-        arrT = self.chain.identity[:, np.newaxis].copy()  # written in place below
+        dtype = np.min_scalar_type(n - 1)
+        arrT = self.chain.identity[:, np.newaxis].astype(dtype)  # a copy, sorted in place
         for lvl in reversed(levels):
-            repsT = np.stack(list(lvl.transversal.values()), axis=1)
+            repsT = np.stack(list(lvl.transversal.values()), axis=1).astype(dtype)
             arrT = np.take(repsT, arrT, axis=0).reshape(n, -1)
         columns = max((lvl.base_point for lvl in levels), default=0) + 1
         bits = max(1, (n - 1).bit_length())
@@ -493,7 +504,6 @@ class PermGroup:
     def grow(self, g: Permutation) -> bool:
         """Add g to the generators and extend the chain by it, dropping any
         cached element table; False, with nothing changed, when g is a member."""
-        g = _owned(g)  # the chain may keep g's images as a strong generator
         if not self.chain.add_generator(g):
             return False
         self.generators += (g,)

@@ -125,6 +125,27 @@ class TestClassify:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "MAX_TABLE_BYTES" in lines[0]
 
+    def test_exhaustive_past_scan_bits(self, runner, spec_file):
+        # AGL(1,27) has 2^27 subsets: the census refuses them; at p = 3,
+        # |G|_3 = 27 > p leaves the verdict open, so the refusal is the answer
+        path = spec_file({"named": "AGL(1,27)"})
+        result = runner.invoke(main, ["classify", path, "--strategy", "exhaustive", "--p", "3"])
+        assert result.exit_code == EXIT_ERROR
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "MAX_SCAN_BITS" in lines[0]
+        assert result.stdout == ""
+
+    def test_exhaustive_past_scan_bits_at_p_part_p(self, runner, spec_file):
+        # at p = 2, |G|_2 = p decides EXTREME without the census, whose
+        # refusal leaves only concealment unknown
+        path = spec_file({"named": "AGL(1,27)"})
+        result = runner.invoke(main, ["classify", path, "--strategy", "exhaustive", "--p", "2"])
+        assert result.exit_code == EXIT_EXTREME, result.stderr
+        payload = _payload(result)
+        assert (payload["status"], payload["concealed"]) == ("EXTREME", None)
+        assert payload["note"] == "|G|_p = p: moderation is impossible"
+
     def test_extreme_exit_ten(self, runner, spec_file):
         path = spec_file({"named": "D6"})
         result = runner.invoke(main, ["classify", path, "--p", "2"])

@@ -28,7 +28,7 @@ from stabparts import (
     product_action,
     setwise_stabilizer,
 )
-from stabparts.perms import StabilizerChain
+from stabparts.perms import StabilizerChain, _least_element_of_order, _order_p_rows
 from strategies import closure, small_groups
 
 
@@ -113,12 +113,14 @@ class TestGroupOrder:
     def test_trivial(self):
         assert PermGroup.trivial(5).order == 1
 
-    # 10! rows of 10 int32 points take 145 MB, beyond MAX_TABLE_BYTES
+    # the bound counts 4 bytes a point: 10! rows of 10 points are 145 MB,
+    # beyond MAX_TABLE_BYTES, though the table would store one byte a point
     SYM10 = ["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"]
 
     def test_enumeration_bound(self):
         G = PermGroup.from_cycles(10, self.SYM10)
-        with pytest.raises(ResourceLimit, match="MAX_TABLE_BYTES"):
+        with pytest.raises(ResourceLimit, match="^element table of 145152000 bytes exceeds "
+                                                "MAX_TABLE_BYTES = 67108864$"):
             G.elements
         assert G.order == 3628800
 
@@ -174,7 +176,8 @@ def test_chain_agrees_with_closure(G, data):
 def _assert_full_lex_order(G):
     E = G.elements
     # point-major: the images of each point under all elements are contiguous
-    assert E.flags.f_contiguous and E.dtype == np.int32 and not E.flags.writeable
+    assert E.flags.f_contiguous and not E.flags.writeable
+    assert E.dtype == np.min_scalar_type(G.degree - 1)  # uint8 to 256 points, uint16 to 4096
     assert np.array_equal(E, E[np.lexsort(E.T[::-1])])
     step = np.diff(E.astype(np.int64), axis=0)
     first = (step != 0).argmax(axis=1)
@@ -279,8 +282,8 @@ class TestInPlaceSort:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert E.nbytes == 28224 * 64 * 4
-        assert peak < 1.25 * E.nbytes
+        assert E.nbytes == 28224 * 64  # one byte a point
+        assert peak - E.nbytes < 28224 * 64
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,6 +300,34 @@ def test_table_order_on_high_points(G, offset, extra):
     H = PermGroup(n, lifted)
     assert H.order == G.order
     _assert_table(H)
+
+
+# a table stores each image in the narrowest unsigned type that holds n - 1
+@pytest.mark.parametrize("G, dtype", [
+    (named_group("C256"), np.uint8),
+    (named_group("C257"), np.uint16),
+    (_involution(4096), np.uint16),
+], ids=["C256", "C257", "involution-4096"])
+def test_table_width_boundaries(G, dtype):
+    E = G.elements
+    assert E.dtype == dtype
+    assert np.array_equal(E, np.array(closure(G)).reshape(-1, G.degree))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_groups(max_order=5040), st.sampled_from([2, 3, 5, 7]))
+@example(PermGroup.trivial(1), 2)
+def test_permutations_from_table_rows_are_int32(G, p):
+    rows = list(G.elements)
+    made = list(zip(rows, G.iter_elements()))
+    least = _least_element_of_order(G.elements, p)
+    if least is not None:
+        made.append((G.elements[np.flatnonzero(_order_p_rows(G.elements, p))[0]], least))
+    made += [(row, Permutation._trusted(row))
+             for row in normalizer(G, G.subgroup(G.generators[:1]))]
+    for row, g in made:
+        assert g.images.dtype == np.int32
+        assert g == Permutation(row.tolist()) and hash(g) == hash(Permutation(row.tolist()))
 
 
 def _one_indexed(degree, *cycles):
