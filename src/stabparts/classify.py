@@ -9,7 +9,8 @@ A group (G, Omega) with p | |G| is:
 Every per-subset fact comes from one census primitive, the orbit sizes |S^G|
 of G on all 2^n subsets (_orbit_sizes: when the cycle unions of G's elements
 number at most 2^n, it lists the masks that some g != 1 fixes, the others
-having size |G|; else it labels orbits from the generators alone).  By
+having size |G|; up to max(1, #gens) * 2^n it counts them into one size per
+mask; else it labels orbits from the generators alone).  By
 orbit-stabilizer |Stab(S)|_p = |G|_p / |S^G|_p, and by Sylow's theorem S is
 fixed by some Sylow p-subgroup iff p does not divide |S^G|.  That census is
 the oracle, read only by exhaustive_p_parts, one p-part per distinct orbit
@@ -89,20 +90,27 @@ def _orbit_sizes(G: PermGroup) -> tuple[Optional[np.ndarray], np.ndarray]:
     """(masks, sizes): orbit sizes |S^G|, by the route the input admits.
 
     The caller has checked MAX_SCAN_BITS.  The cycle-union route
-    (kernels.cycle_union_stabilizers, |S^G| = |G| / |Stab(S)|) lists the
-    masks that some g != 1 fixes, the others having size |G|; it runs when:
-      * |G| - 1 <= 2^(n-1), since each non-identity element fixes at least
-        the empty set and Omega, so more elements give more unions than masks;
+    (kernels.cycle_union_stabilizers, |S^G| = |G| / |Stab(S)|) counts the
+    unions of the non-identity elements' cycles, up to cap = max(1, #gens) *
+    2^n of them.  When they number at most 2^n it lists the masks that some
+    g != 1 fixes, the others having size |G|; past 2^n it returns masks None
+    and one size per mask.  The cap is the label route's own work: it holds
+    one int32 image of all 2^n masks per generator and passes over each of
+    them every round, while the dense count holds the int32 unions, at most
+    cap of them, and reads each once.  The route runs when:
+      * |G| - 1 <= cap / 2, since each non-identity element fixes at least
+        the empty set and Omega, so more elements give more unions than cap;
       * G.elements fits MAX_TABLE_BYTES;
       * the non-identity elements' cycle unions, sum of 2^c(g), number at
-        most 2^n.
+        most cap.
     A ResourceLimit from either of the last two means the label route,
     kernels.subset_orbit_sizes: masks None, each mask's size, from generators.
     """
     n = G.degree
-    if 2 * (G.order - 1) <= 1 << n:
+    cap = max(1, len(G.generators)) << n
+    if 2 * (G.order - 1) <= cap:
         try:
-            masks, stab = kernels.cycle_union_stabilizers(G.elements, n)
+            masks, stab = kernels.cycle_union_stabilizers(G.elements, n, cap)
         except ResourceLimit:
             pass
         else:
@@ -296,9 +304,11 @@ class ModerationReport:
 
 def exhaustive_p_parts(G: PermGroup, p: int) -> tuple:
     """The census oracle (masks, sizes, counts, parts): (masks, sizes) from
-    _orbit_sizes, counts[s] the number of masks of orbit size s, unlisted
-    ones at |G|, and parts[s] = (|G| / s)_p = |Stab(S)|_p, 0 for sizes that
-    do not occur.  Raises ResourceLimit past MAX_SCAN_BITS before |G| is
+    _orbit_sizes, sparse (the masks some g != 1 fixes) or dense (masks None,
+    one size per mask, from the dense cycle count or the label route),
+    counts[s] the number of masks of orbit size s, unlisted ones at |G|,
+    and parts[s] = (|G| / s)_p = |Stab(S)|_p, 0 for sizes that do not
+    occur.  Raises ResourceLimit past MAX_SCAN_BITS before |G| is
     computed, then ValueError when p does not divide |G|."""
     kernels.check_scan_bits(G.degree)  # before |G|, which can cost far more
     if p_part(G.order, p) == 1:

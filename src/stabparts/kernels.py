@@ -4,17 +4,22 @@ Subsets are encoded as bit masks, point i -> bit 2^i.  Every per-subset fact
 follows from the orbit sizes |S^G|, since |Stab(S)| = |G| / |S^G| and S is
 fixed by a Sylow p-subgroup iff p does not divide |S^G|.  Two production
 kernels give them, and `classify._orbit_sizes` picks one from the input:
-`cycle_union_stabilizers` lists the masks that some g != 1 fixes (the unions
-of its cycles) with |Stab(S)|, a mask not listed having trivial stabilizer;
-`subset_orbit_sizes` labels the masks' orbits from the generators alone, for
-groups whose table is too large or whose cycle unions outnumber the masks.
+`cycle_union_stabilizers` counts the unions of the non-identity elements'
+cycles, which are exactly the masks each element fixes.  When they number
+at most 2^n it lists the masks that some g != 1 fixes with |Stab(S)|, a mask
+not listed having trivial stabilizer; up to a cap of one mask image per
+generator, max(1, #gens) * 2^n, it counts them into one |Stab(S)| per mask;
+past the cap it refuses.  `subset_orbit_sizes` labels the masks' orbits from
+the generators alone, for groups whose table is too large or whose cycle
+unions pass the cap; it holds one int32 image of all 2^n masks per
+generator, which is why the cap is set there.
 `stabilizer_counts` and `mark_orbit_unions` are definitional references that
 only the tests and the benchmark's tracer use; no production code calls them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -62,33 +67,43 @@ def subset_orbit_sizes(gens: Iterable[np.ndarray], n: int) -> np.ndarray:
     return np.bincount(label, minlength=1 << n)[label]
 
 
-def cycle_union_stabilizers(elems: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, stab): the sorted int32 masks that some non-identity element
-    fixes, and |Stab(S)| for each; a mask not listed has trivial stabilizer.
+def cycle_union_stabilizers(elems: np.ndarray, n: int,
+                            cap: int) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """(masks, stab): |Stab(S)| from the cycle unions of the non-identity
+    elements, counted sparsely or densely.
 
     elems is the sorted (|G|, n) element table, row 0 the identity.  An
     element g fixes exactly the 2^c(g) unions of its c(g) cycles, so
     |Stab(S)| is 1 plus the number of non-identity rows of which S is a
-    cycle union.  Each point's cycle mask is ORed up by pointer doubling;
-    the rows are grouped by cycle count and each group's unions are built
-    by doubling and sorted in place: a run of equal unions is one mask.
-    Raises ResourceLimit, before any union is built, when sum over g != 1
-    of 2^c(g) exceeds the 2^n masks.
+    cycle union.  Each point's cycle mask is ORed up by pointer doubling on
+    flat row-offset indices; the rows are grouped by cycle count and each
+    group's unions are built by doubling.  With total = sum over g != 1 of
+    2^c(g), the call ends in one of three ways:
+      * total <= 2^n: the unions are sorted in place and a run of equal
+        unions is one mask; masks lists, sorted as int32, the masks that some
+        g != 1 fixes, and a mask not listed has trivial stabilizer;
+      * 2^n < total <= cap: masks is None and stab holds |Stab(S)| for
+        every mask, the unions counted into it unsorted;
+      * total > cap: ResourceLimit naming total and cap, before any union
+        is built.
     """
     check_scan_bits(n)
-    step = elems[1:]
+    m = elems.shape[0] - 1
+    # flat indices; MAX_TABLE_BYTES keeps |G| * n far below 2^31
+    step = (np.arange(m, dtype=np.int32) * np.int32(n))[:, None] + elems[1:]
     bits = np.int32(1) << np.arange(n, dtype=np.int32)
-    cyc = np.broadcast_to(bits, step.shape)
+    cyc = np.tile(bits, (m, 1))
     for _ in range((n - 1).bit_length()):
-        cyc = cyc | np.take_along_axis(cyc, step, axis=1)
-        step = np.take_along_axis(step, step, axis=1)
+        cyc |= cyc.take(step)
+        step = step.take(step)
+    del step
     # a cycle's mask is read at its least point, whose bit is the lowest one
     lead = (cyc & -cyc) == bits
     ncyc = lead.sum(axis=1)
     rows_with = np.bincount(ncyc, minlength=n + 1)  # rows with c cycles, by c
     total = sum(int(k) << c for c, k in enumerate(rows_with))
-    if total > 1 << n:
-        raise ResourceLimit(f"{total} cycle unions exceed the {1 << n} subset masks")
+    if total > cap:
+        raise ResourceLimit(f"{total} cycle unions exceed the cap of {cap}")
     unions = np.empty(total, dtype=np.int32)
     start = 0
     for c in map(int, np.flatnonzero(rows_with)):
@@ -99,6 +114,10 @@ def cycle_union_stabilizers(elems: np.ndarray, n: int) -> tuple[np.ndarray, np.n
         out[:, 0] = 0
         for j in range(c):
             np.bitwise_or(out[:, :1 << j], cycles[:, j, None], out=out[:, 1 << j:2 << j])
+    if total > 1 << n:
+        stab = np.ones(1 << n, dtype=np.intp)  # the identity fixes every mask
+        np.add.at(stab, unions, 1)  # unlike bincount, no intp copy of unions
+        return None, stab
     unions.sort()
     first = np.ones(total, dtype=bool)  # where a run of equal unions starts
     np.not_equal(unions[1:], unions[:-1], out=first[1:])

@@ -14,6 +14,7 @@ from stabparts import (
     census_histogram,
     classify_moderation,
     is_p_concealed,
+    kernels,
     named_group,
     orbits,
     setwise_stabilizer,
@@ -157,25 +158,56 @@ ROUTE_GROUPS = (
 )
 
 
+def _cap(G):
+    """The cycle route's cap on unions, as _orbit_sizes sets it."""
+    return max(1, len(G.generators)) << G.degree
+
+
+def _unions(G):
+    """The number of cycle unions of G's non-identity elements, sum of 2^c(g)."""
+    return sum(1 << len(orbits([g], G.degree)) for g in G.iter_elements()) - (1 << G.degree)
+
+
+CENSUSES = pytest.mark.parametrize("census", [
+    lambda G, p: census_histogram(G, p),
+    lambda G, p: is_p_concealed(G, p),
+    lambda G, p: classify_moderation(G, p, "exhaustive"),
+], ids=["census_histogram", "is_p_concealed", "classify_moderation"])
+
+
 class TestCycleUnionCounts:
     @settings(max_examples=60, deadline=None)
     @given(small_groups(max_order=128))
     @example(PermGroup.trivial(3))
     @example(PermGroup.from_cycles(2, ["(0 1)"]))
     @example(PermGroup(1, []))
+    @example(named_group("Product(D6,D6)"))  # dense: 2^n < unions <= cap
+    @example(named_group("D10"))  # dense: 48 unions, 32 masks, cap 64
+    @example(named_group("Sym(4)"))  # refused: 104 unions, 6.5 * 2^n, cap 32
     def test_matches_scan_and_label_route(self, G):
-        n = G.degree
-        unions = sum(1 << len(orbits([g], n)) for g in G.iter_elements()) - (1 << n)
-        if unions > 1 << n:
-            with pytest.raises(ResourceLimit, match=f"^{unions} cycle unions"):
-                cycle_union_stabilizers(G.elements, n)
+        n, cap, unions = G.degree, _cap(G), _unions(G)
+        if unions > cap:
+            with pytest.raises(ResourceLimit, match=f"^{unions} cycle unions .* {cap}$"):
+                cycle_union_stabilizers(G.elements, n, cap)
             return
-        masks, stab = cycle_union_stabilizers(G.elements, n)
-        assert masks.dtype == np.int32 and (np.diff(masks) > 0).all()
-        assert (stab > 1).all()  # a listed mask is fixed by some g != 1
-        counts = _dense(masks, stab, n, 1)
+        masks, stab = cycle_union_stabilizers(G.elements, n, cap)
+        if unions > 1 << n:
+            assert masks is None and stab.shape == (1 << n,)
+            counts = stab
+        else:
+            assert masks.dtype == np.int32 and (np.diff(masks) > 0).all()
+            assert (stab > 1).all()  # a listed mask is fixed by some g != 1
+            counts = _dense(masks, stab, n, 1)
         assert np.array_equal(counts, stabilizer_counts(G.elements, n))
         assert np.array_equal(counts, G.order // _label_route(G))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_groups(max_order=5040))
+    def test_orbit_sizes_equal_label_route_on_small_groups(self, G):
+        (masks, sizes), labels = _orbit_sizes(G), _label_route(G)
+        if masks is not None:
+            sizes = _dense(masks, sizes, G.degree, G.order)
+        assert sizes.dtype == labels.dtype and np.array_equal(sizes, labels)
 
     @pytest.mark.parametrize("name", ROUTE_GROUPS)
     def test_orbit_sizes_equal_label_route(self, name):
@@ -185,11 +217,7 @@ class TestCycleUnionCounts:
             sizes = _dense(masks, sizes, G.degree, G.order)
         assert sizes.dtype == labels.dtype and np.array_equal(sizes, labels)
 
-    @pytest.mark.parametrize("census", [
-        lambda G: census_histogram(G, 2),
-        lambda G: is_p_concealed(G, 2),
-        lambda G: classify_moderation(G, 2, "exhaustive"),
-    ], ids=["census_histogram", "is_p_concealed", "classify_moderation"])
+    @CENSUSES
     def test_agl_1_23_traced_peak(self, census):
         """Under one byte per mask: the census holds only the 94256 masks
         that some g != 1 fixes, not an array over all 2^23."""
@@ -197,7 +225,7 @@ class TestCycleUnionCounts:
         G.elements  # the table is built once per group, outside the census
         tracemalloc.start()
         try:
-            census(G)
+            census(G, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -210,12 +238,61 @@ class TestCycleUnionCounts:
         assert G._elements is None
 
 
+@pytest.fixture
+def label_calls(monkeypatch):
+    """The degree of every call to the label route, kernels.subset_orbit_sizes."""
+    calls = []
+    original = kernels.subset_orbit_sizes
+
+    def spy(gens, n):
+        calls.append(n)
+        return original(gens, n)
+
+    monkeypatch.setattr(kernels, "subset_orbit_sizes", spy)
+    return calls
+
+
+class TestDenseCycleRoute:
+    """Cycle unions that outnumber the masks but not the cap are counted into
+    one |Stab(S)| per mask, so these censuses never take the label route."""
+
+    @CENSUSES
+    @pytest.mark.parametrize("name", ["Product(Sym(4),Sym(4))", "Product(D6,Sym(4))", "Sym(3)"])
+    def test_label_route_not_taken(self, name, census, label_calls):
+        # Sym(3): 2(|G| - 1) = 10 exceeds 2^3 but not the cap of 16
+        G = PermGroup.from_cycles(3, ["(0 1 2)", "(0 1)"]) if name == "Sym(3)" else named_group(name)
+        assert 1 << G.degree < _unions(G) <= _cap(G)
+        census(G, 3)
+        assert label_calls == []
+
+    @CENSUSES
+    def test_sym10_takes_the_label_route(self, census, label_calls):
+        G = PermGroup.from_cycles(10, ["(0 1 2 3 4 5 6 7 8 9)", "(0 1)"])
+        census(G, 2)
+        assert label_calls == [10] and G._elements is None
+
+    def test_traced_peak_below_label_route(self):
+        G = named_group("Product(Sym(4),Sym(4))")
+        G.elements  # the table is built once per group, outside the census
+        peaks = []
+        for route in (_orbit_sizes, _label_route):
+            tracemalloc.start()
+            try:
+                route(G)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        dense, labels = peaks
+        assert dense <= labels
+
+
 class TestLabelRouteAtScale:
     """C2^10 on 20 points, generated by the transpositions (2i 2i+1).
 
     An element moving s pairs has 20 - s cycles, so the non-identity cycle
-    unions number 2^10 * 3^10 - 2^20, far above the 2^20 masks: the census
-    takes the label route.  A subset splitting s pairs has |Stab| = 2^(10-s).
+    unions number 2^10 * 3^10 - 2^20, far above the cap of 10 * 2^20, one
+    image of the 2^20 masks per generator: the census takes the label route.
+    A subset splitting s pairs has |Stab| = 2^(10-s).
     """
 
     @pytest.fixture(scope="class")
@@ -223,8 +300,14 @@ class TestLabelRouteAtScale:
         return PermGroup.from_cycles(20, [f"({2 * i} {2 * i + 1})" for i in range(10)])
 
     def test_unions_refused(self, G):
-        with pytest.raises(ResourceLimit, match=str(2**10 * 3**10 - 2**20)):
-            cycle_union_stabilizers(G.elements, G.degree)
+        cap = 10 << 20  # one image of the 2^20 masks per generator
+        assert _cap(G) == cap
+        with pytest.raises(ResourceLimit, match=f"^{2**10 * 3**10 - 2**20} cycle unions .* {cap}$"):
+            cycle_union_stabilizers(G.elements, G.degree, cap)
+
+    def test_takes_the_label_route(self, G, label_calls):
+        census_histogram(G, 2)
+        assert label_calls == [20]
 
     def test_census_closed_form(self, G):
         assert census_histogram(G, 2) == {2 ** (10 - s): comb(10, s) << 10
