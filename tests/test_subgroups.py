@@ -1,6 +1,7 @@
 """Subgroups read off their element rows, against per-element definitions."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from stabparts import (
     PermGroup,
     Permutation,
     PointSet,
+    group_from_document,
     named_group,
     normalizer,
     orbits,
@@ -20,6 +22,7 @@ from stabparts import (
 )
 from stabparts.classify import _stabilizing_rows
 from stabparts.kernels import subset_orbit_sizes
+from stabparts import perms
 from stabparts.perms import StabilizerChain, centralizing_rows
 from strategies import closure, small_groups
 
@@ -110,6 +113,92 @@ def test_jxj_filter_on_seeded_subsets(jxj, kind, seed):
     assert np.array_equal(rows, _full_row_scan(jxj, S))
     if kind == "z-orbits":
         assert jxj.generators[4].order() == 3 and rows.size % 3 == 0
+
+
+def test_jxj_filter_peak_below_the_table(jxj):
+    # one widened column, 28224 * 8 bytes, at a time; a widened copy of the
+    # whole table would take 8 times the table's 1.72 MiB
+    S = PointSet(64, random.Random(0).sample(range(64), 32))
+    jxj.elements  # the table is built once per group, outside the filter
+    tracemalloc.start()
+    try:
+        rows = _stabilizing_rows(jxj, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(rows, _full_row_scan(jxj, S))
+    assert peak < jxj.elements.nbytes
+
+
+@pytest.fixture(scope="module")
+def agl17xc17():
+    """AGL(1,17) x C17 on 289 points, |G| = 4624: a uint16 table of 2.6 MB."""
+    G = group_from_document({"product": [{"named": "AGL(1,17)"}, {"named": "C17"}]})
+    assert G.elements.dtype == np.uint16 and G.elements.shape == (4624, 289)
+    return G
+
+
+def _seeded_subset_of_289(G, kind, seed):
+    """A random subset of 1..288 points, or a union of the orbits of the C17
+    factor's 17-cycle (every orbit kept with probability 1/2)."""
+    rng = random.Random(seed)
+    if kind == "c17-orbits":
+        c = G.generators[2]
+        assert c.order() == 17
+        return PointSet(289, [x for orb in orbits([c], 289) if rng.random() < 0.5 for x in orb])
+    return PointSet(289, rng.sample(range(289), rng.randint(1, 288)))
+
+
+# subsets of 289 points and the orders of their stabilizers
+UINT16_SUBSETS = {
+    "empty": ([], 4624),
+    "complement": ([x for x in range(289) if x not in (0, 17)], 2),  # |S| > n/2
+    "pair": ([0, 17], 2),
+    "triple": ([0, 1, 3], 16),
+}
+
+
+@pytest.mark.parametrize("kind, seed", [("random", s) for s in range(4)]
+                         + [("c17-orbits", s) for s in range(2)]
+                         + [(label, None) for label in UINT16_SUBSETS])
+def test_uint16_filter_is_the_full_row_scan(agl17xc17, kind, seed):
+    if kind in UINT16_SUBSETS:
+        points, order = UINT16_SUBSETS[kind]
+        S = PointSet(289, points)
+    else:
+        S, order = _seeded_subset_of_289(agl17xc17, kind, seed), None
+    rows = _stabilizing_rows(agl17xc17, S)
+    assert np.array_equal(rows, _full_row_scan(agl17xc17, S))
+    assert rows.dtype == np.intp
+    if order is not None:
+        assert rows.size == order
+    if kind == "c17-orbits":
+        assert rows.size % 17 == 0
+
+
+def test_uint16_filter_stops_at_the_identity(agl17xc17, monkeypatch):
+    # 29 random points: only the identity, row 0, fixes them, and the filter
+    # stops reading columns before the last point
+    S = _seeded_subset_of_289(agl17xc17, "random", 2)
+    read = []
+    column = perms._column
+    monkeypatch.setattr(perms, "_column", lambda E, x, *rows: read.append(x) or column(E, x, *rows))
+    rows = _stabilizing_rows(agl17xc17, S)
+    assert rows.tolist() == _full_row_scan(agl17xc17, S).tolist() == [0]
+    assert S.bool_array().sum() == 29 and len(read) < 29
+
+
+@pytest.mark.parametrize("make", [
+    lambda G: G.subgroup([Permutation(G.elements[1].tolist())]),  # order 8, 51 orbits
+    lambda G: setwise_stabilizer(G, PointSet(289, [0, 17])),  # order 2, 153 orbits
+], ids=["cyclic-8", "stab-pair"])
+def test_uint16_normalizer_by_definition(agl17xc17, make):
+    G, H = agl17xc17, make(agl17xc17)
+    keys = {h._key for h in H.iter_elements()}
+    expected = _rows(G, lambda x: {(x.inverse() * h * x)._key for h in H.iter_elements()} == keys)
+    N = normalizer(G, H)
+    assert np.array_equal(N, expected)
+    assert N.dtype == np.uint16 and H.order < N.shape[0] < G.order
 
 
 @settings(max_examples=40, deadline=None)
