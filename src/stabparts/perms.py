@@ -429,11 +429,10 @@ class PermGroup:
         one point at a time (setwise stabilizers, the normalizer's orbit
         prefilter) read whole columns.  A row E[i] is a strided view, and
         readers that need contiguous rows copy them.  The sort reads only
-        the columns up to the largest base point and is applied in place, so
-        a build holds one table plus its sort keys and order (see
-        _enumerate).  Raises
-        ResourceLimit, before anything is allocated, when |G| * n * 4 bytes
-        would exceed MAX_TABLE_BYTES.
+        the columns up to the largest base point, at the table's own width,
+        and is applied in place, so a build holds one table plus its sort
+        order (see _enumerate).  Raises ResourceLimit, before anything is
+        allocated, when |G| * n * 4 bytes would exceed MAX_TABLE_BYTES.
         """
         if self._elements is None:
             size = self.order * self.degree * 4
@@ -451,15 +450,16 @@ class PermGroup:
         type first, so every level's product is built at that width.
 
         The table is built transposed, one point per row of arrT, so the
-        gathers, the sort keys and the sort read contiguous rows of arrT;
-        its transpose is the point-major (|G|, n) table.
+        gathers and the sort read contiguous rows of arrT; its transpose is
+        the point-major (|G|, n) table.
         The rows are sorted on columns 0..b only, b the largest base point.
         An element is determined by its base images, so two distinct rows
         differ at some column <= b; their first difference lies there too,
         and the order on those columns is the full lexicographic order.
-        A point takes bits = max(1, (n-1).bit_length()) bits, so those columns
-        are packed 63 // bits to a non-negative int64 key, the first column
-        highest, one column at a time; one lexsort runs over those few keys.
+        One lexsort runs over those rows of arrT at the table's own width,
+        with no wider copy: numpy sorts keys of 16 bits or fewer by a stable
+        radix sort, linear in the rows, which on uint8 tables beats packing
+        the columns into int64 keys and sorting those.
         The sort order is then applied to arrT in place, an eighth of the
         points at a time, so the build never holds a second full table: its
         peak is the table plus one block and the sort order.
@@ -472,17 +472,7 @@ class PermGroup:
             repsT = np.stack(list(lvl.transversal.values()), axis=1).astype(dtype)
             arrT = np.take(repsT, arrT, axis=0).reshape(n, -1)
         columns = max((lvl.base_point for lvl in levels), default=0) + 1
-        bits = max(1, (n - 1).bit_length())
-        per = 63 // bits
-        keys = []
-        for start in range(0, columns, per):
-            key = arrT[start].astype(np.int64)
-            for row in arrT[start + 1:min(start + per, columns)]:
-                key <<= bits
-                key |= row
-            keys.append(key)
-        order = np.lexsort(keys[::-1])
-        del keys  # freed before the blocks are gathered
+        order = np.lexsort(arrT[columns - 1::-1])
         step = -(-n // 8)
         for start in range(0, n, step):
             block = arrT[start:start + step]

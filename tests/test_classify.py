@@ -558,6 +558,12 @@ class TestP2RegularWitness:
         with pytest.raises(ConstructorInapplicable, match="H has no involution"):
             p2_regular_witness(G, 2, linear_part(G))
 
+    def test_requires_p_two(self):
+        # D6 x D6 has its witness at p = 2; at p = 3 the guard refuses it
+        G = named_group("Product(D6,D6)")
+        with pytest.raises(ConstructorInapplicable, match="specific to p = 2"):
+            p2_regular_witness(G, 3, linear_part(G))
+
 
 class TestMetacyclicWitness:
     def test_shape(self, metacyclic_group):
@@ -583,6 +589,12 @@ class TestMetacyclicWitness:
         with pytest.raises(ConstructorInapplicable):
             G = named_group("D6")
             metacyclic_witness(G, 2, linear_part(G), translations(G))
+
+    def test_requires_p_two(self, metacyclic_group):
+        # the group that has a witness at p = 2 is refused at p = 3
+        G = metacyclic_group
+        with pytest.raises(ConstructorInapplicable, match="specific to p = 2"):
+            metacyclic_witness(G, 3, linear_part(G), translations(G))
 
 
 class TestOrbitWitnessOddP:

@@ -425,6 +425,19 @@ class TestVerifyPaper:
         lines = [l for l in result.stderr.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == len(doc["payload"]["checks"])
 
+    def test_a_failed_check_exits_one(self, runner, monkeypatch):
+        # the J x J randomized search is made to find nothing: its check is
+        # the one FAIL, and the command exits 1
+        monkeypatch.setattr("stabparts.verify.randomized_witness_from_z",
+                            lambda *args, **kwargs: None)
+        result = runner.invoke(main, ["verify-paper", "--seed", "0"])
+        assert result.exit_code == 1
+        fails = [l for l in result.stderr.splitlines() if l.startswith("FAIL")]
+        assert len(fails) == 1 and "no witness found" in fails[0]
+        payload = _payload(result)
+        assert payload["failed"] == 1
+        assert payload["passed"] == len(payload["checks"]) - 1
+
     def test_trials_is_not_an_option(self, runner):
         # the J x J search takes the default draws: --trials is a usage error,
         # refused before any check runs, not reported as a FAIL

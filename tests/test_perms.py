@@ -184,12 +184,10 @@ def _assert_full_lex_order(G):
     assert (step[np.arange(len(step)), first] > 0).all()  # strictly increasing
 
 
-def _sort_keys(G):
-    """(bits per point, int64 sort keys) of G's table: columns 0..b, b the
-    largest base point, are packed 63 // bits to a key."""
-    bits = max(1, (G.degree - 1).bit_length())
-    columns = max((lvl.base_point for lvl in G.chain.levels), default=0) + 1
-    return bits, -(-columns // (63 // bits))
+def _sort_columns(G):
+    """The number of columns G's table is sorted on: columns 0..b, b the
+    largest base point, read at the table's own width."""
+    return max((lvl.base_point for lvl in G.chain.levels), default=0) + 1
 
 
 def _assert_table(G):
@@ -199,18 +197,18 @@ def _assert_table(G):
 
 class TestTableOrder:
     # the table is sorted on its columns up to the largest base point only,
-    # packed into int64 keys
+    # one lexsort key a column
     def test_product_sorted_beyond_its_last_base_point(self, jxj):
         base = [lvl.base_point for lvl in jxj.chain.levels]
         assert (max(base), jxj.degree) == (16, 64)
-        assert _sort_keys(jxj) == (6, 2)  # 17 columns, 10 to a key
+        assert _sort_columns(jxj) == 17
         _assert_table(jxj)
 
     def test_seven_bit_points(self):
-        # Sym({60..66}) in degree 70: base points up to 65, 9 columns to a key
+        # Sym({60..66}) in degree 70: base points up to 65, so 66 sort columns
         G = PermGroup.from_cycles(70, ["(60 61 62 63 64 65 66)", "(60 61)"])
         assert max(lvl.base_point for lvl in G.chain.levels) >= 64
-        assert _sort_keys(G) == (7, 8)
+        assert _sort_columns(G) == 66
         _assert_table(G)
         assert G.elements[:, :60].tolist() == [list(range(60))] * 5040
 
@@ -233,7 +231,7 @@ class TestTableOrder:
     def test_no_levels(self, degree):
         G = PermGroup.trivial(degree)
         assert G.chain.levels == []
-        assert _sort_keys(G)[1] == 1
+        assert _sort_columns(G) == 1
         _assert_table(G)
         assert G.elements.tolist() == [list(range(degree))]
 
@@ -256,25 +254,27 @@ def _involution(n):
 class TestInPlaceSort:
     # the sort order is applied to the transposed table an eighth of the
     # points at a time: ceil(n / 8) points a block
-    @pytest.mark.parametrize("G, keys, blocks", [
-        (named_group("Product(J,J)"), 2, 8),
+    @pytest.mark.parametrize("G, columns, blocks", [
+        (named_group("Product(J,J)"), 17, 8),
         (_involution(4096), 1, 8),
-        (named_group("AGL(1,7)"), 1, 7),
-        (named_group("AGL(2,3)"), 1, 5),
+        (named_group("AGL(1,7)"), 2, 7),
+        (named_group("AGL(2,3)"), 4, 5),
         (PermGroup.trivial(5), 1, 5),
-        (PermGroup.from_cycles(9, ["(1 2 3)(4 5)", "(6 7 8)", "(1 2)"]), 1, 5),
-    ], ids=["JxJ", "involution-4096", "degree-7", "degree-9", "Trivial(5)", "fixes-0"])
-    def test_matches_reference(self, G, keys, blocks):
-        assert _sort_keys(G)[1] == keys
+        (PermGroup.from_cycles(9, ["(1 2 3)(4 5)", "(6 7 8)", "(1 2)"]), 7, 5),
+        # a uint16 table sorted on more than one column
+        (named_group("Product(AGL(1,17),C17)"), 18, 8),
+    ], ids=["JxJ", "involution-4096", "degree-7", "degree-9", "Trivial(5)", "fixes-0",
+            "AGL(1,17)xC17"])
+    def test_matches_reference(self, G, columns, blocks):
+        assert _sort_columns(G) == columns
         assert len(range(0, G.degree, -(-G.degree // 8))) == blocks
         _assert_full_lex_order(G)
         if G.degree <= 9:
             _assert_table(G)
         assert np.array_equal(G.elements, _reference_table(G))
 
-    def test_jxj_traced_peak(self):
-        # gathering a sorted second table would peak above twice the table
-        G = named_group("Product(J,J)")
+    @staticmethod
+    def _traced_build(G):
         G.chain  # the chain is built once per group, outside the table
         tracemalloc.start()
         try:
@@ -282,8 +282,23 @@ class TestInPlaceSort:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return E, peak
+
+    def test_jxj_traced_peak(self):
+        # gathering a sorted second table would peak above twice the table
+        E, peak = self._traced_build(named_group("Product(J,J)"))
         assert E.nbytes == 28224 * 64  # one byte a point
         assert peak - E.nbytes < 28224 * 64
+
+    def test_sym9_traced_peak(self):
+        # a build holds the table, the sort order (8 bytes a row) and one
+        # block of two points: 6.58 MiB traced for a 3.11 MiB table.  An
+        # int64 copy of the sort columns adds 8 bytes a row more (9.35 MiB).
+        G = group_from_document({"degree": 9, "generators": ["(0 1 2 3 4 5 6 7 8)", "(0 1)"]})
+        E, peak = self._traced_build(G)
+        rows = math.factorial(9)
+        assert (E.shape, E.dtype) == ((rows, 9), np.uint8)
+        assert peak < E.nbytes + 8 * rows + E.nbytes // 2
 
 
 @settings(max_examples=40, deadline=None)
