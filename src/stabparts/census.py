@@ -176,16 +176,11 @@ def randomized_witness_from_z(
     if (order := z.order()) == 1 or p_part(order, p) != order:
         raise ValueError("z must be a nontrivial p-element")
     gp = p_part(G.order, p)
-    zorbits = orbits([z], G.degree)
-    n = G.degree
+    zmasks = [PointSet(G.degree, orbit).mask for orbit in orbits([z], G.degree)]
     for trial in range(trials):
         rng = random.Random(seed + trial)
-        members: set[int] = set()
-        for orbit in zorbits:
-            if rng.random() < 0.5:
-                members.update(orbit)
-        delta = PointSet(n, members)
-        part = stab_p_part(G, delta, p)
-        if part < gp:
+        # the z-orbits are disjoint, so the sum of the masks drawn is their union
+        delta = PointSet.from_mask(G.degree, sum(m for m in zmasks if rng.random() < 0.5))
+        if stab_p_part(G, delta, p) < gp:
             return delta
     return None

@@ -215,55 +215,53 @@ def orbits(gens: Iterable[Permutation], degree: int) -> list[list[int]]:
 
 
 class PointSet:
-    """A subset of {0..n-1}, with a bit-mask view (point i -> bit 2^i)."""
+    """A subset of {0..n-1}, held as its bit mask (point i -> bit 2^i) and
+    nothing else: its boolean array, sorted points and size are read off it."""
 
-    __slots__ = ("degree", "members")
+    __slots__ = ("degree", "mask")
 
-    def __init__(self, degree: int, members: Iterable[int]):
-        pts = frozenset(int(x) for x in members)
-        for x in pts:
+    def __init__(self, degree: int, points: Iterable[int]):
+        mask = 0
+        for x in map(int, points):
             if not 0 <= x < degree:
                 raise ValueError(f"point {x} out of range for degree {degree}")
+            mask |= 1 << x
         self.degree = degree
-        self.members = pts
+        self.mask = mask
 
     @staticmethod
     def from_mask(degree: int, mask: int) -> "PointSet":
-        return PointSet(degree, [i for i in range(degree) if mask >> i & 1])
-
-    @property
-    def mask(self) -> int:
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
+        if not 0 <= mask < 1 << degree:
+            raise ValueError(f"mask out of range for degree {degree}")
+        ps = PointSet.__new__(PointSet)
+        ps.degree, ps.mask = degree, int(mask)
+        return ps
 
     def sorted_points(self) -> list[int]:
-        return sorted(self.members)
+        return np.flatnonzero(self.bool_array()).tolist()
 
     def bool_array(self) -> np.ndarray:
-        arr = np.zeros(self.degree, dtype=bool)
-        arr[list(self.members)] = True
-        return arr
+        raw = np.frombuffer(self.mask.to_bytes((self.degree + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, count=self.degree, bitorder="little").view(bool)
 
     def image(self, g: Permutation) -> "PointSet":
-        return PointSet(self.degree, (int(g.images[x]) for x in self.members))
+        return PointSet(self.degree, g.images[self.bool_array()])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, x: int) -> bool:
-        return x in self.members
+        return 0 <= x < self.degree and bool(self.mask >> int(x) & 1)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.sorted_points())
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PointSet) and other.degree == self.degree
-                and other.members == self.members)
+                and other.mask == self.mask)
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.members))
+        return hash((self.degree, self.mask))
 
     def __repr__(self) -> str:
         return f"PointSet({self.degree}, {self.sorted_points()})"

@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from stabparts import (
+    PermGroup,
     PointSet,
     all_sylows,
     find_sylow,
@@ -11,6 +12,7 @@ from stabparts import (
     named_group,
     orbit_size_floor_check,
     p_part,
+    parse_cycles,
     prop_certificate,
     randomized_witness_from_z,
     stab_p_part,
@@ -183,6 +185,17 @@ class TestOrbitSizeFloor:
         ][0]
         with pytest.raises(ValueError):
             orbit_size_floor_check(P, 2, noncentral)
+
+    def test_small_orbit_fails(self):
+        # z = (0 1) moves a point of the P-orbit {0, 1}, of size 2 < 2^2
+        P = PermGroup.from_cycles(4, ["(0 1)", "(2 3)"])
+        assert not orbit_size_floor_check(P, 2, parse_cycles("(0 1)", 4))
+
+    @pytest.mark.parametrize("z", ["(0 1 2 3)", "(0 2)"])  # order 4; not in P
+    def test_rejects_z_of_wrong_order_or_outside_p(self, z):
+        P = PermGroup.from_cycles(4, ["(0 1)", "(2 3)"])
+        with pytest.raises(ValueError, match="order-p element of P"):
+            orbit_size_floor_check(P, 2, parse_cycles(z, 4))
 
 
 class TestRandomizedWitness:

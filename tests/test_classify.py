@@ -496,7 +496,7 @@ class TestTranslationWitness:
             p = AFFINE_CATALOG[name][0]
             if G.degree == p:
                 continue
-            delta = translation_witness(G, p, translations(G)).members
+            delta = set(translation_witness(G, p, translations(G)))
             assert len(delta) == p, name
             sums = {vector_add(*AFFINE_CATALOG[name], a, b) for a in delta for b in delta}
             assert sums == delta, name
@@ -545,7 +545,7 @@ class TestP2RegularWitness:
         # regularity forces vt != v for any involution t
         G = named_group("Product(D6,D6)")
         gamma = p2_regular_witness(G, 2, linear_part(G))
-        assert len(gamma.members) == 3
+        assert len(gamma) == 3
 
     def test_no_regular_vector(self):
         with pytest.raises(ConstructorInapplicable):

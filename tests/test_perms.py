@@ -39,6 +39,10 @@ class TestParseCycles:
     def test_empty_is_identity(self):
         assert list(parse_cycles("", 4).images) == [0, 1, 2, 3]
 
+    def test_degree_zero(self):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            parse_cycles("", 0)
+
     def test_d10_reflection(self):
         # x -> -x mod 5
         assert list(parse_cycles("(1 4)(2 3)", 5).images) == [0, 4, 3, 2, 1]
@@ -112,6 +116,10 @@ class TestGroupOrder:
 
     def test_trivial(self):
         assert PermGroup.trivial(5).order == 1
+
+    def test_generator_of_another_degree(self):
+        with pytest.raises(DegreeMismatch):
+            PermGroup(4, [parse_cycles("(0 1)", 3)])
 
     # the bound counts 4 bytes a point: 10! rows of 10 points are 145 MB,
     # beyond MAX_TABLE_BYTES, though the table would store one byte a point
@@ -739,6 +747,28 @@ class TestPointSet:
 
     def test_iterates_sorted(self):
         assert list(PointSet(5, [3, 1])) == [1, 3]
+
+    def test_round_trip_at_max_degree(self):
+        points = [0, 2047, 4095]
+        ps = PointSet(4096, points)
+        assert ps.mask == 1 | 1 << 2047 | 1 << 4095
+        assert PointSet.from_mask(4096, ps.mask) == ps
+        assert (ps.sorted_points(), len(ps)) == (points, 3)
+        arr = ps.bool_array()
+        assert (arr.dtype, arr.shape) == (np.dtype(bool), (4096,))
+        assert np.flatnonzero(arr).tolist() == points
+        assert [x in ps for x in (-1, 0, 1, 2047, 4095, 4096)] == [
+            False, True, False, True, True, False]
+
+    def test_equal_and_hash_across_constructors(self):
+        a, b = PointSet(9, [7, 0, 4, 4]), PointSet.from_mask(9, 1 + 16 + 128)
+        assert a == b and hash(a) == hash(b)
+        assert a != PointSet(10, [0, 4, 7]) and a != PointSet.from_mask(9, 1 + 16)
+
+    @pytest.mark.parametrize("mask", [-1, 1 << 9])
+    def test_from_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError, match="out of range"):
+            PointSet.from_mask(9, mask)
 
 
 @given(st.permutations(list(range(8))))

@@ -19,7 +19,7 @@ from stabparts import (
     prop_certificate,
 )
 from stabparts.fields import prime_divisors
-from stabparts.sylow import frattini_subgroup, normal_closure
+from stabparts.sylow import _least_p_element, frattini_subgroup, normal_closure
 from strategies import closure, small_groups
 
 
@@ -55,6 +55,10 @@ class TestFindSylow:
     def test_p_not_dividing(self):
         with pytest.raises(ValueError):
             find_sylow(named_group("C4"), 3)
+
+    def test_no_least_p_element(self):
+        with pytest.raises(ValueError, match="5 does not divide"):
+            _least_p_element(named_group("D6"), 5)
 
     def test_order_matches_p_part(self, zoo):
         for name, G in zoo.items():
@@ -298,6 +302,11 @@ def test_normal_closure_is_the_closure_of_all_conjugates(G, indices, bound):
     bounded = normal_closure(G, gens, bound=bound)
     assert (bounded is None) == (len(expected) > bound)
     assert bounded is None or closure(bounded) == expected
+
+
+def test_frattini_subgroup_rejects_a_non_p_group():
+    with pytest.raises(ValueError, match="not a p-group"):
+        frattini_subgroup(named_group("Sym(4)"), 2)
 
 
 # AGL(4,2), |G| = 322560: GL(4,2) from a transvection and a 4-cycle of coordinates

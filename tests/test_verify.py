@@ -20,3 +20,16 @@ def test_order3_element_is_product_action_encoding():
     idx = np.arange(64, dtype=np.int32)
     expected = Permutation(t3.images[idx // 8] * 8 + idx % 8)
     assert verify._order3_first_factor_element(J) == expected
+
+
+def test_applicable_criterion_on_jxj_fails(monkeypatch):
+    # J x J's Sylow 3-subgroup is elementary abelian: a certificate there is
+    # the check's one FAIL
+    real = verify.prop_certificate
+
+    def certificate(G, p):
+        return real(named_group("C4"), 2) if G.degree == 64 else real(G, p)
+
+    monkeypatch.setattr(verify, "prop_certificate", certificate)
+    failed = [c.line() for c in verify.counting_certificates() if not c.passed]
+    assert failed == ["FAIL  J x J @ p=3: criterion inapplicable  (unexpectedly applicable)"]
