@@ -577,10 +577,11 @@ def normalizer(G: PermGroup, H: PermGroup) -> np.ndarray:
     least point, with |T| = |O|; each step reads one column of the
     point-major table at the surviving rows, widened to intp (`_column`).
     The last orbit needs no test: g is a bijection, so the others map onto
-    distinct orbits and it maps onto the one left.  Then each generator h of
-    H is conjugated by the surviving rows at once: g^-1 h g maps g[y] to
-    g[h[y]], one scatter per row.  Conjugating the generators into H
-    suffices, since |g^-1 H g| = |H|.
+    distinct orbits and it maps onto the one left.  It suffices to conjugate
+    H's generators into H, as |g^-1 H g| = |H|.  If every row survives (H may
+    be normal), each g^-1 h g for G's generators g is sifted through H's
+    chain: all in H give N_G(H) = G.  Else each h is conjugated by the
+    surviving rows at once: g^-1 h g maps g[y] to g[h[y]], one scatter a row.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -598,6 +599,9 @@ def normalizer(G: PermGroup, H: PermGroup) -> np.ndarray:
         for x in orbit[1:]:
             ok = label[_column(E, x, keep)] == target
             keep, target = keep[ok], target[ok]
+    if keep.size == E.shape[0] and all(g.inverse() * h * g in H
+                                       for g in G.generators for h in H.generators):
+        return E
     hkeys = _row_keys(H.elements)
     for h in H.generators:
         rows = E[keep]

@@ -1,10 +1,10 @@
 """Sylow p-subgroups and the p-structure predicates used by the classifier.
 
-A Sylow subgroup P grows in place, one element of its normalizer's sorted
-rows at a time, and a normal closure, such as Phi(P), grows in its own
-chain.  The element z of the counting criterion is the least row of Phi(P)'s
-table of order p that commutes with P.  Results are exact and brute-force
-checkable by construction.
+A Sylow subgroup P grows in place, each step by the least p-element of its
+normalizer's sorted rows that lies outside P, and a normal closure, such as
+Phi(P), grows in its own chain.  The element z of the counting criterion is
+the least row of order p among the rows of Phi(P)'s table that commute with
+P.  Results are exact and brute-force checkable by construction.
 """
 
 from __future__ import annotations
@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .fields import p_part
-from .perms import PermGroup, Permutation, _order_p_rows, centralizing_rows, normalizer
+from .perms import (PermGroup, Permutation, _least_element_of_order, _row_keys,
+                    centralizing_rows, normalizer)
 
 
 @dataclass
@@ -33,8 +36,7 @@ class SylowData:
 
 def _least_p_element(G: PermGroup, p: int) -> Permutation:
     """The p-power part g^(ord/p-part) of the least element g (by image
-    array) whose order p divides: a nontrivial p-element, from one sorted pass.
-    """
+    array) whose order p divides: a nontrivial p-element, from one sorted pass."""
     for g in G.iter_elements():
         ordg = g.order()
         if ordg % p == 0:
@@ -43,19 +45,16 @@ def _least_p_element(G: PermGroup, p: int) -> Permutation:
 
 
 def find_sylow(G: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup of G, grown in place by the least p-element of
-    each successive normalizer that is not yet a member."""
+    """A Sylow p-subgroup of G, grown in place: while P is not Sylow, N_G(P) has
+    p-elements outside P, found by one key lookup in P's table; the least grows P."""
     target = p_part(G.order, p)
     if target == 1:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
     P = G.subgroup([_least_p_element(G, p)], name=f"Sylow_{p}")
     while P.order < target:
-        for g in map(Permutation._trusted, normalizer(G, P)):
-            ordg = g.order()
-            if ordg > 1 and p_part(ordg, p) == ordg and P.grow(g):
-                break
-        else:  # pragma: no cover - impossible by Sylow theory
-            raise AssertionError("Sylow extension step failed")
+        N = normalizer(G, P)
+        outside = map(Permutation._trusted, N[~np.isin(_row_keys(N), _row_keys(P.elements))])
+        P.grow(next(g for g in outside if target % g.order() == 0))  # a p-element
     return P
 
 
@@ -111,12 +110,11 @@ def frattini_subgroup(P: PermGroup, p: int) -> PermGroup:
 
 
 def frattini_center_element(P: PermGroup, p: int) -> Optional[Permutation]:
-    """The least element of order p of Phi(P) & Z(P), read off Phi(P)'s
-    table; None when P is elementary abelian, i.e. when Phi(P) = 1.
+    """The least element of order p of Phi(P) & Z(P), among the rows of Phi(P)'s
+    table that commute with P; None when P is elementary abelian (Phi(P) = 1).
 
     Otherwise Phi(P) is a nontrivial normal subgroup of the p-group P, so it
     meets Z(P) in an element of order p.
     """
     E = frattini_subgroup(P, p).elements
-    rows = E[_order_p_rows(E, p) & centralizing_rows(E, P.generators)]
-    return Permutation._trusted(rows[0]) if rows.size else None
+    return _least_element_of_order(E[centralizing_rows(E, P.generators)], p)

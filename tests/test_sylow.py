@@ -346,6 +346,10 @@ def _normalizer_by_conjugation(G, H):
     ({"named": "Product(J,J)"}, 3, 784),
     ({"named": "Product(J,J)"}, 7, 64),
     (AGL42, 2, 315),
+    # normal Sylow subgroups: every row passes the orbit prefilter, and G's
+    # generators conjugating P's into P answer N_G(P) = G with no row scan
+    ({"named": "Product(J,J)"}, 2, 1),
+    ({"named": "AGL(1,16)"}, 2, 1),
 ])
 def test_prefiltered_normalizer_equals_unfiltered(doc, p, count):
     G = group_from_document(doc)
@@ -353,3 +357,58 @@ def test_prefiltered_normalizer_equals_unfiltered(doc, p, count):
     assert data.count == count
     N = normalizer(G, data.representative)
     assert np.array_equal(N, _normalizer_by_conjugation(G, data.representative))
+
+
+@pytest.mark.parametrize("name", ["Sym(4)", "AGL(2,3)", "Product(D6,D6)", "Product(J,J)"])
+def test_normalizer_of_a_normal_subgroup_is_the_table(name):
+    G = named_group(name)
+    for H in (G, G.subgroup((), name="trivial")):
+        assert normalizer(G, H) is G.elements
+        assert np.array_equal(_normalizer_by_conjugation(G, H), G.elements)
+
+
+def _find_sylow_by_sifting(G, p):
+    """find_sylow as a scan that offers each p-element row of each successive
+    normalizer, in table order, to P.grow, which sifts the members of P away."""
+    target = p_part(G.order, p)
+    P = G.subgroup([_least_p_element(G, p)], name=f"Sylow_{p}")
+    while P.order < target:
+        for g in map(Permutation._trusted, normalizer(G, P)):
+            ordg = g.order()
+            if ordg > 1 and p_part(ordg, p) == ordg and P.grow(g):
+                break
+    return P
+
+
+SYLOW_DOCUMENTS = [{"named": name} for name in (
+    "D6", "D10", "AGL(1,5)", "J", "AGammaL(1,9)", "AGL(2,3)", "Sym(4)", "C4", "Product(D6,D6)",
+    "Product(J,J)", "AGL(1,16)", "AGL(1,17)", "AGL(1,19)", "AGL(1,27)", "Product(Sym(4),Sym(4))",
+    "Product(AGL(1,5),Sym(4))", "Product(AGL(1,17),C17)",
+)] + [AGL42]
+SYLOW_CASES = [pytest.param(doc, p, id=f"{doc.get('named', 'AGL42')}-{p}")
+               for doc in SYLOW_DOCUMENTS for p in prime_divisors(group_from_document(doc).order)]
+
+
+@pytest.mark.parametrize("doc, p", SYLOW_CASES)
+def test_find_sylow_picks_the_rows_of_the_sifting_scan(doc, p):
+    G = group_from_document(doc)
+    expected = _find_sylow_by_sifting(G, p).generators
+    assert find_sylow(G, p).generators == expected
+
+
+@pytest.mark.parametrize("doc, p", SYLOW_CASES)
+def test_each_extension_step_grows_once(doc, p, monkeypatch):
+    offered = []
+    grow = PermGroup.grow
+
+    def spy(self, g):
+        grew = grow(self, g)
+        offered.append(grew)
+        return grew
+
+    monkeypatch.setattr(PermGroup, "grow", spy)
+    G = group_from_document(doc)
+    P = find_sylow(G, p)
+    assert P.order == p_part(G.order, p)
+    # one call a step, each with a new element: P starts from one generator
+    assert offered == [True] * (len(P.generators) - 1)
