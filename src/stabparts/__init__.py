@@ -46,7 +46,6 @@ from .perms import (
     PointSet,
     ResourceLimit,
     compose,
-    element_order,
     format_cycles,
     is_primitive,
     normalizer,

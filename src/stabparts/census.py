@@ -1,9 +1,9 @@
 """Subset-census counting: exact orbit-union counts, the counting-criterion
 certificate, and the randomized witness search it implies.
 
-The search checks its unions of z-orbits with perms.stab_p_part, and the
-constructive classifier runs it as its q-orbits stage: classify imports
-this module, never the reverse.
+The search checks at most SAMPLING_TRIALS unions of z-orbits with
+perms.stab_p_part, for prop31 and as the constructive classifier's q-orbits
+stage: classify imports this module, never the reverse.
 
 All inequality checks are exact integer comparisons: the criterion
 |G : N(P)| < 2^((n-f)(1/p - 1/p^2)) is decided as
@@ -23,6 +23,8 @@ from .fields import p_part
 from .perms import (PermGroup, Permutation, PointSet, format_cycles, normalizer, orbits,
                     stab_p_part)
 from .sylow import SylowData, find_sylow, frattini_center_element
+
+SAMPLING_TRIALS = 200  # draws of one randomized witness search
 
 
 class CriterionInapplicable(ValueError):
@@ -159,25 +161,21 @@ def orbit_size_floor_check(P: PermGroup, p: int, z: Permutation) -> bool:
     return True
 
 
-def randomized_witness_from_z(
-    G: PermGroup,
-    p: int,
-    z: Permutation,
-    trials: int = 1000,
-    seed: int = 0,
-) -> Optional[PointSet]:
+def randomized_witness_from_z(G: PermGroup, p: int, z: Permutation,
+                              seed: int = 0) -> Optional[PointSet]:
     """Search uniform unions of z-orbits for a subset with small stabilizer p-part.
 
     Each orbit goes in or out with probability 1/2, drawn from a generator
     seeded with seed + trial index so runs are reproducible and trials are
-    independent.  Returns the first subset whose stabilizer p-part is
-    strictly below |G|_p (it is at least p, since z stabilizes it), else None.
+    independent.  Returns the first of SAMPLING_TRIALS draws whose stabilizer
+    p-part is strictly below |G|_p (it is at least p, since z stabilizes it),
+    else None.
     """
     if (order := z.order()) == 1 or p_part(order, p) != order:
         raise ValueError("z must be a nontrivial p-element")
     gp = p_part(G.order, p)
     zmasks = [PointSet(G.degree, orbit).mask for orbit in orbits([z], G.degree)]
-    for trial in range(trials):
+    for trial in range(SAMPLING_TRIALS):
         rng = random.Random(seed + trial)
         # the z-orbits are disjoint, so the sum of the masks drawn is their union
         delta = PointSet.from_mask(G.degree, sum(m for m in zmasks if rng.random() < 0.5))

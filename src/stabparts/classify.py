@@ -17,9 +17,9 @@ the oracle, read only by exhaustive_p_parts, one p-part per distinct orbit
 size: the histogram sums mask counts by p-part, and concealment's least
 counterexample and the exhaustive witness are the least mask whose size has a
 marked p-part.  The constructive strategy first verifies the recipes'
-candidates, then seeded unions of the orbits of an element z of order p, which
-fixes each of them (census.randomized_witness_from_z, prop31's search), and
-ends in the census like the exhaustive one, so the two never disagree.  The
+candidates, then seeded unions of the orbits of z, G's least element of order
+p, which fixes each of them (census.randomized_witness_from_z, prop31's
+search), and ends in the census like the exhaustive one, so they agree.  The
 recipes, the proof's cases for affine G = V . H, read V off the table that
 translations finds in G however G is written, and the later ones the linear
 part H = Stab_G(0) as the rows of G's table that fix 0, picked by the
@@ -43,9 +43,7 @@ from .fields import p_part, prime_power
 from .perms import (PermGroup, Permutation, PointSet, ResourceLimit, _least_element_of_order,
                     _order_p_rows, _stabilizing_rows, centralizing_rows, orbits,
                     point_stabilizer_of_zero, stab_p_part)
-from .sylow import _least_p_element, is_elementary_abelian, is_p_group, normal_closure
-
-SAMPLING_TRIALS = 200
+from .sylow import is_elementary_abelian, is_p_group, normal_closure
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +383,9 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
     """Decide MODERATE vs EXTREME; the exhaustive strategy is the oracle.
 
     The constructive strategy verifies the recipes' candidates, then seeded
-    unions of the orbits of z = x^(|x|/p), x the Sylow search's first
-    p-element (stage q-orbits); both strategies end in the census, so the
-    verdict is exact.
+    unions of the orbits of z, the least element of order p in G's table
+    (stage q-orbits); both strategies end in the census, so the verdict is
+    exact.
     """
     if strategy not in ("exhaustive", "constructive"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -406,9 +404,8 @@ def classify_moderation(G: PermGroup, p: int, strategy: str = "constructive",
             part = _verify_witness(G, delta, p, gp)
             if part is not None:
                 return _moderate(report, stage, delta, part)
-        x = _least_p_element(G, p)
-        z = x ** (x.order() // p)
-        delta = randomized_witness_from_z(G, p, z, SAMPLING_TRIALS, seed)
+        z = _least_element_of_order(G.elements, p)
+        delta = randomized_witness_from_z(G, p, z, seed)
         if delta is not None:
             return _moderate(report, "q-orbits", delta, stab_p_part(G, delta, p))
 

@@ -15,6 +15,7 @@ from typing import Callable
 import click
 
 from . import __version__
+from . import census as census_module
 from .affine import group_from_document
 from .census import (
     CriterionInapplicable,
@@ -158,16 +159,16 @@ def sylow(spec_file, p):
 @main.command()
 @_spec_arg
 @_p_opt
-@click.option("--trials", type=click.IntRange(min=1), default=1000, show_default=True)
 @_seed_opt
-def prop31(spec_file, p, trials, seed):
+def prop31(spec_file, p, seed):
     """Counting-criterion certificate, plus a randomized witness when it holds."""
     def answer(G):
         cert = prop_certificate(G, p)
         payload = cert.to_json()
         if cert.verdict:
-            delta = randomized_witness_from_z(G, p, cert.z, trials=trials, seed=seed)
+            delta = randomized_witness_from_z(G, p, cert.z, seed=seed)
             if delta is None:
+                trials = census_module.SAMPLING_TRIALS
                 _fail(f"criterion holds but no witness found in {trials} trials")
             payload["witness"] = delta.sorted_points()
             payload["witness_p_part"] = stab_p_part(G, delta, p)

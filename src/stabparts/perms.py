@@ -7,7 +7,7 @@ to the right-action convention.
 
 The row filters over a group's point-major element table live here: setwise
 stabilizers (stab_p_part, the verifier of every witness), the normalizer,
-and the centralizing and order-p rows.
+the centralizing rows, and the row powers and first-row reader of p-elements.
 """
 
 from __future__ import annotations
@@ -93,18 +93,13 @@ class Permutation:
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return self.inverse() ** -k
+        if k == 0:
+            return Permutation.identity(self.degree)
+        return Permutation._trusted(_power(self.images[np.newaxis], k)[0])
 
     def order(self) -> int:
-        return element_order(self)
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         seen = [False] * self.degree
@@ -138,10 +133,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     if a.degree != b.degree:
         raise DegreeMismatch(f"degree {a.degree} != {b.degree}")
     return Permutation._trusted(b.images[a.images])
-
-
-def element_order(g: Permutation) -> int:
-    return math.lcm(*map(len, g.cycles()))
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -569,7 +560,7 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 
 def normalizer(G: PermGroup, H: PermGroup) -> np.ndarray:
     """The rows of G.elements that form N_G(H) = {g in G : g^-1 H g = H},
-    still sorted; requires H <= G, both enumerable.
+    still sorted; requires H <= G, both enumerable.  N_G(1) = G at once.
 
     A row g that normalizes H maps each H-orbit onto an H-orbit, since
     (x^h)^g = (x^g)^(g^-1 h g).  So the rows are first filtered point by
@@ -586,6 +577,8 @@ def normalizer(G: PermGroup, H: PermGroup) -> np.ndarray:
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     E = G.elements
+    if not H.generators:
+        return E
     parts = H.orbits()
     label = np.empty(G.degree, dtype=np.intp)
     for i, orbit in enumerate(parts):
@@ -620,22 +613,40 @@ def centralizing_rows(E: np.ndarray, gens: Iterable[Permutation]) -> np.ndarray:
     return keep
 
 
+def _power(E: np.ndarray, e: int) -> np.ndarray:
+    """The rows g^e of E, for e >= 1, by square-and-multiply: O(log e) gathers."""
+    offsets = np.arange(0, E.size, E.shape[1])[:, np.newaxis]  # row starts in .ravel()
+    power = E
+    for bit in bin(e)[3:]:  # left to right: square, then times g on a 1 bit
+        power = power.ravel().take(power + offsets)
+        if bit == "1":
+            power = E.ravel().take(power + offsets)
+    return power
+
+
+def _least_row(E: np.ndarray, keep) -> Optional[Permutation]:
+    """The first row of E that passes keep, a mask of a block of rows, or None.
+    keep sees blocks of 8, 16, 32, ... rows in table order: a first hit at
+    row i costs keep over at most 2i + 8 rows, not over all of E."""
+    start, size = 0, 8
+    while start < E.shape[0]:
+        hits = np.flatnonzero(keep(E[start:start + size]))
+        if hits.size:
+            return Permutation._trusted(E[start + hits[0]])
+        start, size = start + size, 2 * size
+    return None
+
+
 def _order_p_rows(E: np.ndarray, p: int) -> np.ndarray:
     """Mask of the rows g of E with g^p = 1 != g; for p prime these are the
-    elements of order p.  g^p takes O(log p) gathers, as g ** p does."""
-    power = E
-    for bit in bin(p)[3:]:  # left to right: square, then times g on a 1 bit
-        power = np.take_along_axis(power, power, axis=1)
-        if bit == "1":
-            power = np.take_along_axis(E, power, axis=1)
+    elements of order p."""
     points = np.arange(E.shape[1])
-    return (power == points).all(axis=1) & (E != points).any(axis=1)
+    return (_power(E, p) == points).all(axis=1) & (E != points).any(axis=1)
 
 
 def _least_element_of_order(E: np.ndarray, p: int) -> Optional[Permutation]:
     """The least element of prime order p in the sorted element table E, or None."""
-    rows = np.flatnonzero(_order_p_rows(E, p))
-    return Permutation._trusted(E[rows[0]]) if rows.size else None
+    return _least_row(E, lambda rows: _order_p_rows(rows, p))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Sylow p-subgroups and the p-structure predicates used by the classifier.
 
-A Sylow subgroup P grows in place, each step by the least p-element of its
-normalizer's sorted rows that lies outside P, and a normal closure, such as
-Phi(P), grows in its own chain.  The element z of the counting criterion is
-the least row of order p among the rows of Phi(P)'s table that commute with
-P.  Results are exact and brute-force checkable by construction.
+A Sylow subgroup P grows in place from the trivial group, each step by the
+least p-element of its normalizer's sorted rows that lies outside P, and a
+normal closure, such as Phi(P), grows in its own chain.  The element z of
+the counting criterion is the least row of order p among the rows of
+Phi(P)'s table that commute with P.  Both are read off powers of blocks of
+rows (perms._least_row).  Results are exact and brute-force checkable.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .fields import p_part
-from .perms import (PermGroup, Permutation, _least_element_of_order, _row_keys,
-                    centralizing_rows, normalizer)
+from .perms import (PermGroup, Permutation, _least_element_of_order, _least_row, _power,
+                    _row_keys, centralizing_rows, normalizer)
 
 
 @dataclass
@@ -34,27 +35,19 @@ class SylowData:
         }
 
 
-def _least_p_element(G: PermGroup, p: int) -> Permutation:
-    """The p-power part g^(ord/p-part) of the least element g (by image
-    array) whose order p divides: a nontrivial p-element, from one sorted pass."""
-    for g in G.iter_elements():
-        ordg = g.order()
-        if ordg % p == 0:
-            return g ** (ordg // p_part(ordg, p))
-    raise ValueError(f"{p} does not divide |G| = {G.order}")
-
-
 def find_sylow(G: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup of G, grown in place: while P is not Sylow, N_G(P) has
-    p-elements outside P, found by one key lookup in P's table; the least grows P."""
+    """A Sylow p-subgroup of G, grown in place from the trivial group: while P
+    is not Sylow, N_G(P) has p-elements g (g^(|G|_p) = 1) outside P, and the
+    least, read off blocks of N's rows (perms._least_row), grows P."""
     target = p_part(G.order, p)
     if target == 1:
         raise ValueError(f"{p} does not divide |G| = {G.order}")
-    P = G.subgroup([_least_p_element(G, p)], name=f"Sylow_{p}")
+    P = G.subgroup((), name=f"Sylow_{p}")
+    points = np.arange(G.degree)
     while P.order < target:
-        N = normalizer(G, P)
-        outside = map(Permutation._trusted, N[~np.isin(_row_keys(N), _row_keys(P.elements))])
-        P.grow(next(g for g in outside if target % g.order() == 0))  # a p-element
+        inside = _row_keys(P.elements)
+        P.grow(_least_row(normalizer(G, P), lambda rows: (
+            (_power(rows, target) == points).all(axis=1) & ~np.isin(_row_keys(rows), inside))))
     return P
 
 

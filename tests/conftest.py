@@ -3,23 +3,12 @@ import sys
 import pytest
 
 from stabparts import classify, named_group
-
-ZOO = (
-    "D6",
-    "D10",
-    "AGL(1,5)",
-    "J",
-    "AGammaL(1,9)",
-    "AGL(2,3)",
-    "Sym(4)",
-    "C4",
-    "Product(D6,D6)",
-)
+from stabparts.verify import ZOO_NAMES
 
 
 @pytest.fixture(scope="session")
 def zoo():
-    return {name: named_group(name) for name in ZOO}
+    return {name: named_group(name) for name in ZOO_NAMES}
 
 
 @pytest.fixture(scope="session")

@@ -202,7 +202,7 @@ class TestRandomizedWitness:
     def test_c4(self):
         G = named_group("C4")
         z = frattini_center_element(find_sylow(G, 2), 2)
-        delta = randomized_witness_from_z(G, 2, z, trials=100, seed=0)
+        delta = randomized_witness_from_z(G, 2, z, seed=0)
         assert delta is not None
         assert delta.sorted_points() in ([0, 2], [1, 3])
         assert 1 < stab_p_part(G, delta, 2) < 4
@@ -210,14 +210,14 @@ class TestRandomizedWitness:
     def test_deterministic_in_seed(self):
         G = named_group("AGL(2,3)")
         z = frattini_center_element(find_sylow(G, 2), 2)
-        a = randomized_witness_from_z(G, 2, z, trials=50, seed=5)
-        b = randomized_witness_from_z(G, 2, z, trials=50, seed=5)
+        a = randomized_witness_from_z(G, 2, z, seed=5)
+        b = randomized_witness_from_z(G, 2, z, seed=5)
         assert a == b
 
     def test_witness_verifies(self):
         G = named_group("AGammaL(1,9)")
         z = frattini_center_element(find_sylow(G, 2), 2)
-        delta = randomized_witness_from_z(G, 2, z, trials=200, seed=0)
+        delta = randomized_witness_from_z(G, 2, z, seed=0)
         assert delta is not None
         assert stab_p_part(G, delta, 2) < p_part(G.order, 2)
 

@@ -39,7 +39,7 @@ from stabparts.kernels import MAX_SCAN_BITS, stabilizer_counts
 from stabparts.perms import ResourceLimit
 from stabparts.fields import prime_divisors
 from stabparts.census import randomized_witness_from_z
-from stabparts.sylow import _least_p_element, find_sylow
+from stabparts.sylow import find_sylow
 from strategies import (AFFINE_CATALOG, closure, relabelled_document, small_groups, symmetric,
                         vector_add, wreath)
 
@@ -86,6 +86,17 @@ PINNED_STAGES = {
     ("C9", 3): "q-orbits",
     ("Product(D6,D10)", 2): "q-orbits",
     ("Product(AGL(1,5),D6)", 2): "q-orbits",
+}
+
+# The witnesses of the q-orbits cases at seeds 0, 1 and 2, from the unions of
+# the orbits of z, the least element of order p, drawn by seed
+Q_ORBITS_WITNESSES = {
+    ("C4", 2): [[0, 2], [0, 2], [0, 2]],
+    ("C8", 2): [[2, 3, 6, 7], [0, 3, 4, 7], [2, 3, 6, 7]],
+    ("C9", 3): [[2, 5, 8], [0, 3, 6], [2, 5, 8]],
+    ("Product(D6,D10)", 2): [[2, 3, 7, 12]] * 3,
+    ("Product(AGL(1,5),D6)", 2): [[2, 3, 5, 7, 8, 10, 11, 12, 14],
+                                  [0, 3, 4, 5, 8, 11, 12, 13, 14], [2, 3, 7, 10, 12]],
 }
 
 
@@ -665,16 +676,15 @@ class TestCandidateStream:
     @pytest.mark.parametrize("name, p", [(n, p) for (n, p), stage in PINNED_STAGES.items()
                                          if stage == "q-orbits"])
     def test_q_orbits_draws_are_prop31s(self, name, p):
-        # the stage is census.randomized_witness_from_z on z = x^(|x|/p), x the
-        # first p-element of the Sylow search
+        # the stage is census.randomized_witness_from_z on z, the least element
+        # of order p in G's table
         G = named_group(name)
-        x = _least_p_element(G, p)
-        z = x ** (x.order() // p)
+        z = _least_of_order_by_loop(G, p)
         for seed in range(3):
             report = classify_moderation(G, p, seed=seed)
             assert report.stage == "q-orbits", seed
-            assert report.witness == randomized_witness_from_z(
-                G, p, z, classify.SAMPLING_TRIALS, seed), seed
+            assert report.witness == randomized_witness_from_z(G, p, z, seed), seed
+            assert report.witness.sorted_points() == Q_ORBITS_WITNESSES[name, p][seed]
 
     @pytest.mark.parametrize("G, p", [
         (wreath(symmetric(5)), 5), (named_group("Product(C9,C3)"), 3),

@@ -4,8 +4,8 @@ from decimal import Decimal
 import pytest
 from click.testing import CliRunner
 
-from stabparts import (PermGroup, PointSet, format_cycles, group_from_document, named_group,
-                       stab_p_part)
+from stabparts import (PermGroup, PointSet, census, format_cycles, group_from_document,
+                       named_group, stab_p_part)
 from stabparts.cli import (
     EXIT_ERROR,
     EXIT_EXTREME,
@@ -287,21 +287,38 @@ class TestProp31:
         assert result.exit_code == EXIT_INAPPLICABLE
         assert "elementary abelian" in result.stderr
 
-    def test_no_witness_in_the_trials(self, runner, spec_file):
+    @pytest.mark.parametrize("name, z, fixed, witness", [
+        ("C4", "(0 2)(1 3)", 0, [0, 2]),
+        ("Sym(4)", "(0 1)(2 3)", 0, None),
+        ("Product(AGL(1,5),Sym(4))", "(4 16)(5 17)(6 18)(7 19)(8 12)(9 13)(10 14)(11 15)", 4,
+         [2, 3, 5, 7, 8, 12, 17, 19]),
+    ])
+    def test_certificate_and_witness_pins(self, runner, spec_file, name, z, fixed, witness):
+        path = spec_file({"named": name})
+        result = runner.invoke(main, ["prop31", path, "--p", "2"])
+        assert result.exit_code == 0
+        payload = _payload(result)
+        assert (payload["z"], payload["fixed_points"]) == (z, fixed)
+        assert payload.get("witness") == witness
+
+    def test_no_witness_in_the_trials(self, runner, spec_file, monkeypatch):
         # C4's z = (0 2)(1 3): seed 0 draws the empty union, fixed by all of C4
+        monkeypatch.setattr(census, "SAMPLING_TRIALS", 1)
         path = spec_file({"named": "C4"})
-        result = runner.invoke(main, ["prop31", path, "--p", "2", "--trials", "1",
-                                      "--seed", "0"])
+        result = runner.invoke(main, ["prop31", path, "--p", "2", "--seed", "0"])
         assert result.exit_code == EXIT_ERROR
         assert result.stderr.splitlines() == [
             "error: criterion holds but no witness found in 1 trials"]
 
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_trials_below_one(self, runner, spec_file, trials):
+        # the search draws census.SAMPLING_TRIALS unions: --trials is no option
+        # at all, so any count is refused by click, not by a range check
         path = spec_file({"named": "C4"})
         result = runner.invoke(main, ["prop31", path, "--p", "2", "--trials", trials])
         assert result.exit_code == 2
-        assert "--trials" in result.stderr
+        assert "No such option" in result.stderr and "--trials" in result.stderr
+        assert "--trials" not in runner.invoke(main, ["prop31", "--help"]).stdout
 
 
 class TestWitness:

@@ -15,7 +15,6 @@ from stabparts import (
     ResourceLimit,
     all_sylows,
     compose,
-    element_order,
     format_cycles,
     group_from_document,
     is_primitive,
@@ -28,7 +27,7 @@ from stabparts import (
     product_action,
     setwise_stabilizer,
 )
-from stabparts.perms import StabilizerChain, _least_element_of_order, _order_p_rows
+from stabparts.perms import StabilizerChain, _least_element_of_order, _order_p_rows, _power
 from strategies import closure, small_groups
 
 
@@ -102,9 +101,30 @@ def test_constructor_rejects_non_bijections(images):
 
 
 def test_element_order():
-    assert element_order(parse_cycles("(0 1 2)", 3)) == 3
-    assert element_order(parse_cycles("(0 1)(2 3 4)", 5)) == 6
-    assert element_order(Permutation.identity(6)) == 1
+    assert parse_cycles("(0 1 2)", 3).order() == 3
+    assert parse_cycles("(0 1)(2 3 4)", 5).order() == 6
+    assert Permutation.identity(6).order() == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups(max_order=120))
+def test_powers_are_repeated_products(G):
+    # g ** k for k in -3..2|g|, and the rows of _power(G.elements, e) for e up
+    # to twice the largest order, equal the products g * ... * g of |k| factors
+    rows = list(G.iter_elements())
+    identity = Permutation.identity(G.degree)
+    products = [identity] * len(rows)
+    for e in range(1, 2 * max(g.order() for g in rows) + 1):
+        products = [q * g for q, g in zip(products, rows)]
+        assert np.array_equal(_power(G.elements, e), [q.images for q in products])
+    for g in rows:
+        product = identity
+        assert g ** 0 == identity
+        for k in range(1, 2 * g.order() + 1):
+            product = product * g
+            assert g ** k == product
+            if k <= 3:
+                assert g ** -k * product == identity
 
 
 class TestGroupOrder:

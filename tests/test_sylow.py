@@ -19,7 +19,7 @@ from stabparts import (
     prop_certificate,
 )
 from stabparts.fields import prime_divisors
-from stabparts.sylow import _least_p_element, frattini_subgroup, normal_closure
+from stabparts.sylow import frattini_subgroup, normal_closure
 from strategies import closure, small_groups
 
 
@@ -58,7 +58,7 @@ class TestFindSylow:
 
     def test_no_least_p_element(self):
         with pytest.raises(ValueError, match="5 does not divide"):
-            _least_p_element(named_group("D6"), 5)
+            find_sylow(named_group("D6"), 5)
 
     def test_order_matches_p_part(self, zoo):
         for name, G in zoo.items():
@@ -369,9 +369,10 @@ def test_normalizer_of_a_normal_subgroup_is_the_table(name):
 
 def _find_sylow_by_sifting(G, p):
     """find_sylow as a scan that offers each p-element row of each successive
-    normalizer, in table order, to P.grow, which sifts the members of P away."""
+    normalizer, in table order, to P.grow, which sifts the members of P away;
+    P starts trivial, so the first step takes the least p-element of G."""
     target = p_part(G.order, p)
-    P = G.subgroup([_least_p_element(G, p)], name=f"Sylow_{p}")
+    P = G.subgroup((), name=f"Sylow_{p}")
     while P.order < target:
         for g in map(Permutation._trusted, normalizer(G, P)):
             ordg = g.order()
@@ -410,5 +411,17 @@ def test_each_extension_step_grows_once(doc, p, monkeypatch):
     G = group_from_document(doc)
     P = find_sylow(G, p)
     assert P.order == p_part(G.order, p)
-    # one call a step, each with a new element: P starts from one generator
-    assert offered == [True] * (len(P.generators) - 1)
+    # one call a step, each with a new element: P starts trivial
+    assert offered == [True] * len(P.generators)
+
+
+@pytest.mark.parametrize("doc", [{"named": "Product(J,J)"}, AGL42], ids=["Product(J,J)", "AGL42"])
+def test_find_sylow_reads_no_element_order(doc, monkeypatch):
+    # p-elements are read off the rows by powers, never one Permutation at a time
+    G = group_from_document(doc)
+    G.elements
+    calls = []
+    for method in ("order", "cycles"):
+        monkeypatch.setattr(Permutation, method, lambda g, method=method: calls.append(method))
+    assert find_sylow(G, 2).order == p_part(G.order, 2)
+    assert calls == []
